@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="run configuration YAML")
     common.add_argument("--format", choices=("text", "csv"), default="text")
-    common.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    common.add_argument("--threads", type=int, default=0, help="coverage workers, 0 = one per CPU")
     common.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
 
     parser = argparse.ArgumentParser(

@@ -1,15 +1,15 @@
 """Grid sweeps producing 95% accuracy coverage maps, plus CSV/PGM output.
 
-Cells are independent pure computations, so the sweep can run on a
-thread pool; results are assembled by row index and every mode computes
-one latitude row per kernel call, which makes the output bitwise
-identical for any worker count.
+Cells are independent, so the sweep runs on a thread pool in blocks of
+whole latitude rows; every kernel step is per cell or sums over stations
+only, so the output is bitwise identical for any block size and worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +29,9 @@ from .propagation import NoiseSpec, PropagationSpec, TransmitterStation, snr_db_
 from .variance_model import ModelParams
 
 DEFAULT_CELL_LIMIT = 10_000_000
+# Cells per kernel call, in whole rows: big enough to amortise the call,
+# small enough that the kernel's ~560 B/cell of temporaries stay a few MiB.
+_BLOCK_CELLS = 2500
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,8 @@ class GridSpec:
     """A lat/lon lattice: inclusive bounds and a positive step in degrees.
 
     Node coordinates are ``min + i * step`` (never accumulated), with
-    ``floor((max - min) / step) + 1`` nodes per axis.
+    ``floor((max - min) / step + 1e-9) + 1`` nodes per axis: the 1e-9 keeps
+    the ``max`` node of a whole number of steps that divides to just under.
     """
 
     lat_min: float
@@ -55,11 +59,11 @@ class GridSpec:
 
     @property
     def n_lat(self) -> int:
-        return math.floor((self.lat_max - self.lat_min) / self.step_deg) + 1
+        return math.floor((self.lat_max - self.lat_min) / self.step_deg + 1e-9) + 1
 
     @property
     def n_lon(self) -> int:
-        return math.floor((self.lon_max - self.lon_min) / self.step_deg) + 1
+        return math.floor((self.lon_max - self.lon_min) / self.step_deg + 1e-9) + 1
 
     @property
     def cell_count(self) -> int:
@@ -145,10 +149,13 @@ def compute_coverage(
 ) -> CoverageGrid:
     """Sweep the grid and evaluate accuracy at every cell.
 
-    ``threads`` 0 picks a worker count automatically, 1 runs serially;
-    the result is deterministic and identical for any value. Raises
+    ``threads`` 0 means one worker per available CPU, 1 runs serially and
+    more are capped at the CPU count; the result is identical for any
+    value. Raises ValueError when ``threads`` is negative and
     GridTooLargeError when the grid exceeds ``cell_limit`` cells.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
     if len(stations) < 3:
         raise ValueError(f"need >= 3 configured stations, got {len(stations)}")
     if spec.cell_count > cell_limit:
@@ -164,22 +171,20 @@ def compute_coverage(
     mask = np.empty((lats.size, lons.size), dtype="<U16")
     snr_db = np.empty((len(stations), lats.size, lons.size))
 
-    def run_row(i: int) -> None:
-        acc_i, count_i, mask_i, snr_i = _sweep_rows(
-            lats[i : i + 1], lons, stations, params, prop, noise, snr_threshold_db
+    def run_block(rows: slice) -> None:
+        accuracy[rows], count[rows], mask[rows], snr_db[:, rows] = _sweep_rows(
+            lats[rows], lons, stations, params, prop, noise, snr_threshold_db
         )
-        accuracy[i] = acc_i[0]
-        count[i] = count_i[0]
-        mask[i] = mask_i[0]
-        snr_db[:, i] = snr_i[:, 0]
 
-    if threads == 1:
-        for i in range(lats.size):
-            run_row(i)
+    block_rows = max(1, _BLOCK_CELLS // lons.size)
+    blocks = [slice(i, i + block_rows) for i in range(0, lats.size, block_rows)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, len(blocks))
+    if workers == 1:
+        list(map(run_block, blocks))
     else:
-        workers = threads if threads > 0 else None
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_row, range(lats.size)))
+            list(pool.map(run_block, blocks))
 
     return CoverageGrid(
         spec=spec,
@@ -212,21 +217,16 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
     and accuracy carry six fractional digits, a masked cell has an empty
     accuracy field and the mask reason, an unmasked cell an empty mask.
     """
+    # csv.writer's QUOTE_MINIMAL framing, joined by hand one row at a time
+    # (no field can hold a comma, quote or newline; tolist() per row only)
+    lon_strs = [f"{lon:.6f}" for lon in grid.lon_deg.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask"])
-        for i, lat in enumerate(grid.lat_deg):
-            for j, lon in enumerate(grid.lon_deg):
-                masked = grid.mask[i, j] != ""
-                w.writerow(
-                    [
-                        f"{lat:.6f}",
-                        f"{lon:.6f}",
-                        "" if masked else f"{grid.accuracy_m[i, j]:.6f}",
-                        int(grid.usable_count[i, j]),
-                        grid.mask[i, j],
-                    ]
-                )
+        f.write("lat_deg,lon_deg,accuracy_m,usable_count,mask\r\n")
+        rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask)
+        for lat, acc, cnt, msk in rows:
+            pre = f"{lat:.6f},"
+            cells = zip(lon_strs, acc.tolist(), cnt.tolist(), msk.tolist())
+            f.write("".join(f"{pre}{lon},{'' if m else f'{a:.6f}'},{c},{m}\r\n" for lon, a, c, m in cells))
 
 
 def read_coverage_csv(path) -> list[tuple[float, float, float | None, int, str]]:
@@ -261,7 +261,7 @@ def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None
         f.write(f"{grid.lon_deg.size} {grid.lat_deg.size}\n")
         f.write("255\n")
         for i in range(grid.lat_deg.size - 1, -1, -1):
-            f.write(" ".join(str(v) for v in pix[i]) + "\n")
+            f.write(" ".join(map(str, pix[i].tolist())) + "\n")
 
 
 def write_contour_csv(grid: CoverageGrid, path, accuracy_limit_m: float) -> None:

@@ -226,6 +226,13 @@ class TestCoverage:
         run(capsys, "coverage", "--config", str(config), "--threads", "8")
         assert (tmp_path / "coverage.csv").read_bytes() == serial
 
+    def test_negative_threads_exit_2(self, config_factory, tmp_path, capsys):
+        config = config_factory()
+        code, out, err = run(capsys, "coverage", "--config", str(config), "--threads", "-3")
+        assert code == 2
+        assert "threads" in err and out == ""
+        assert not (tmp_path / "coverage.csv").exists()
+
     def test_grid_too_large_exit_4(self, config_factory, capsys):
         def mutate(cfg):
             cfg["grid"]["step_deg"] = 1e-4  # ~400M cells

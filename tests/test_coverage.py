@@ -1,7 +1,13 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rmodesim.coverage as coverage_module
 
 from rmodesim import (
     CoverageGrid,
@@ -19,7 +25,8 @@ from rmodesim import (
     write_coverage_csv,
     write_coverage_pgm,
 )
-from rmodesim.accuracy import MASK_TOO_FEW_STATIONS
+from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
+from rmodesim.config import load_config
 from rmodesim.errors import GridTooLargeError
 
 from helpers import destination_point
@@ -60,6 +67,34 @@ class TestGridSpec:
         lats = spec.lat_values()
         assert lats[0] == -1.0
         assert np.array_equal(lats, -1.0 + np.arange(spec.n_lat) * 0.25)
+
+    def test_extent_that_divides_just_under_keeps_max_node(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        spec = GridSpec(0.0, 0.3, 0.0, 0.3, 0.1)
+        assert (spec.n_lat, spec.n_lon) == (4, 4)
+        assert spec.lat_values()[-1] == pytest.approx(0.3, abs=1e-9 * 0.1)
+
+    def test_shipped_and_benchmark_node_counts(self):
+        shipped = load_config(Path(__file__).resolve().parent.parent / "configs" / "korea_mf.yaml")
+        assert (shipped.grid.n_lat, shipped.grid.n_lon) == (121, 121)
+        fine = GridSpec(33.0, 39.0, 123.0, 129.0, 0.01)
+        assert (fine.n_lat, fine.n_lon) == (601, 601)
+
+    # bounds and step are decimals with four places, as a config gives them,
+    # and max is its own decimal rather than min + k * step in floating point
+    @given(
+        st.integers(-900_000, 900_000),
+        st.integers(1, 100_000),
+        st.integers(1, 2_000),
+    )
+    @settings(max_examples=300)
+    def test_whole_number_of_steps_ends_on_max(self, lo_units, step_units, k):
+        lo, step = lo_units / 1e4, step_units / 1e4
+        hi = (lo_units + k * step_units) / 1e4
+        spec = GridSpec(lo, hi, lo, hi, step)
+        assert spec.n_lat == spec.n_lon == k + 1
+        assert abs(spec.lat_values()[-1] - hi) <= 1e-9 * step
+        assert abs(spec.lon_values()[-1] - hi) <= 1e-9 * step
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -104,18 +139,20 @@ class TestComputeCoverage:
         expected = 4.0 * sigma / math.sqrt(3.0)
         assert grid.accuracy_m[i, j] == pytest.approx(expected, rel=1e-6)
 
-    def test_worker_count_does_not_change_results(self):
-        stations, params, prop, noise = scenario()
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        stations, params, prop, _ = scenario()
+        noise = NoiseSpec(level_dbuv_m=62.0)  # masks the outer cells
         spec = GridSpec(35.0, 37.0, 126.0, 128.0, 0.1)
-        grids = [
-            compute_coverage(spec, stations, params, prop, noise, -15.0, threads=t)
-            for t in (1, 2, 8)
-        ]
-        for other in grids[1:]:
-            assert np.array_equal(grids[0].accuracy_m, other.accuracy_m, equal_nan=True)
-            assert np.array_equal(grids[0].usable_count, other.usable_count)
-            assert np.array_equal(grids[0].mask, other.mask)
-            assert np.array_equal(grids[0].snr_db, other.snr_db)
+        base = compute_coverage(spec, stations, params, prop, noise, -15.0, threads=1)
+        assert (base.mask == MASK_TOO_FEW_STATIONS).any() and (base.mask == "").any()
+        for rows in (1, 3, spec.n_lat, spec.n_lat + 5):
+            monkeypatch.setattr(coverage_module, "_BLOCK_CELLS", rows * spec.n_lon)
+            for t in (1, 2, 0, 8):
+                other = compute_coverage(spec, stations, params, prop, noise, -15.0, threads=t)
+                for name in ("lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask", "snr_db"):
+                    a, b = getattr(base, name), getattr(other, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, (name, rows, t)
+                    assert a.tobytes() == b.tobytes(), (name, rows, t)
 
     def test_threshold_monotonicity(self):
         stations, params, prop, _ = scenario()
@@ -227,6 +264,100 @@ class TestCsvOutput:
         write_coverage_csv(grid, p1)
         write_coverage_csv(grid, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_write_coverage_csv(grid, path):
+    """The csv.writer cell loop the coverage CSV writer must match byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask"])
+        for i, lat in enumerate(grid.lat_deg):
+            for j, lon in enumerate(grid.lon_deg):
+                masked = grid.mask[i, j] != ""
+                w.writerow(
+                    [
+                        f"{lat:.6f}",
+                        f"{lon:.6f}",
+                        "" if masked else f"{grid.accuracy_m[i, j]:.6f}",
+                        int(grid.usable_count[i, j]),
+                        grid.mask[i, j],
+                    ]
+                )
+
+
+def reference_write_coverage_pgm(grid, path, accuracy_clip_m):
+    """The per-pixel PGM loop the PGM writer must match byte for byte."""
+    unmasked = grid.mask == ""
+    clipped = np.minimum(np.where(unmasked, grid.accuracy_m, accuracy_clip_m), accuracy_clip_m)
+    pix = np.floor(255.0 * (1.0 - clipped / accuracy_clip_m) + 0.5)
+    pix = np.where(unmasked, pix, 0.0).astype(np.int64)
+    with open(path, "w", encoding="ascii") as f:
+        f.write("P2\n")
+        f.write(f"{grid.lon_deg.size} {grid.lat_deg.size}\n")
+        f.write("255\n")
+        for i in range(grid.lat_deg.size - 1, -1, -1):
+            f.write(" ".join(str(v) for v in pix[i]) + "\n")
+
+
+def shipped_grid_with_both_masks():
+    # the shipped sites give SingularGeometry cells; the raised noise level
+    # adds TooFewStations cells
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "korea_mf.yaml")
+    noise = NoiseSpec(level_dbuv_m=55.0)
+    grid = compute_coverage(
+        cfg.grid, cfg.stations, cfg.params, cfg.propagation, noise, cfg.snr_threshold_db
+    )
+    assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY, ""} <= set(np.unique(grid.mask))
+    return grid
+
+
+def negative_coordinate_grid():
+    # both masks, latitudes either side of 0, accuracies that round at the sixth digit
+    rng = np.random.default_rng(7)
+    spec = GridSpec(-0.5, 0.2, -73.25, -72.0, 0.05)
+    shape = (spec.n_lat, spec.n_lon)
+    mask = rng.choice(["", "", "", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY], size=shape)
+    accuracy = np.where(mask == "", 10.0 ** rng.uniform(-7, 5, size=shape), np.nan)
+    accuracy[0, :3] = [2.5e-7, 1234.0000005, 0.0]
+    return CoverageGrid(
+        spec=spec,
+        lat_deg=spec.lat_values(),
+        lon_deg=spec.lon_values(),
+        accuracy_m=accuracy,
+        usable_count=rng.integers(0, 4, size=shape),
+        mask=mask.astype("<U16"),
+        station_ids=["s0"],
+        snr_db=np.zeros((1,) + shape),
+    )
+
+
+def strip_grid(n_lat, n_lon):
+    stations, params, prop, noise = scenario()
+    step = 0.1  # a single node along an axis needs an extent under one step
+    spec = GridSpec(
+        35.5, 35.5 + max(n_lat - 1, 0.5) * step, 126.5, 126.5 + max(n_lon - 1, 0.5) * step, step
+    )
+    assert (spec.n_lat, spec.n_lon) == (n_lat, n_lon)
+    return compute_coverage(spec, stations, params, prop, noise, -15.0)
+
+
+WRITER_GRIDS = {
+    "both_masks": shipped_grid_with_both_masks,
+    "negative_coordinates": negative_coordinate_grid,
+    "one_row": lambda: strip_grid(1, 17),
+    "one_column": lambda: strip_grid(17, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_GRIDS))
+def test_writers_match_reference_bytes(name, tmp_path):
+    grid = WRITER_GRIDS[name]()
+    write_coverage_csv(grid, tmp_path / "new.csv")
+    reference_write_coverage_csv(grid, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_coverage_pgm(grid, tmp_path / "new.pgm", 10.0)
+    reference_write_coverage_pgm(grid, tmp_path / "ref.pgm", 10.0)
+    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
 
 def handcrafted_grid():
