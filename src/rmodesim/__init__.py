@@ -14,7 +14,6 @@ from .accuracy import (
     accuracy95,
     accuracy_at,
     covariance,
-    geometry_matrix,
 )
 from .config import FitOptions, OutputPaths, RunConfig, load_config
 from .coverage import (
@@ -43,7 +42,6 @@ from .propagation import (
     NoiseSpec,
     ParametricPropagation,
     TransmitterStation,
-    field_strength,
     load_field_grid,
     snr_at,
     wavelength_m,

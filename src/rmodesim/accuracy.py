@@ -11,6 +11,9 @@ elsewhere.
 
 Any azimuth convention gives the same accuracy (the horizontal trace is
 rotation invariant); the formulas hold verbatim for any N >= 3 stations.
+
+``accuracy_arrays`` holds the rules once, batched over points; the point
+query ``accuracy_at`` and the coverage sweep both call it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGeometryError, TooFewStationsError
-from .geodesy import GeoPoint, azimuth
-from .propagation import NoiseSpec, PropagationSpec, TransmitterStation, snr_at
-from .variance_model import ModelParams, predict_sigma2
+from .errors import (
+    CoincidentPointsError,
+    NonpositiveSnrError,
+    SingularGeometryError,
+    TooFewStationsError,
+    UnknownStationError,
+)
+from .geodesy import GeoPoint, bearing_rad
+from .propagation import NoiseSpec, PropagationSpec, TransmitterStation, field_strength_dbuv_m
+from .variance_model import ModelParams, toa_variance_m2
 
 CONDITION_LIMIT = 1e12  # normal-matrix condition number above which geometry is singular
 
@@ -30,39 +39,30 @@ MASK_TOO_FEW_STATIONS = "TooFewStations"
 MASK_SINGULAR_GEOMETRY = "SingularGeometry"
 
 
-def geometry_matrix(azimuths_rad) -> np.ndarray:
-    """N x 3 geometry matrix with rows [cos(theta_i), sin(theta_i), 1]."""
-    az = np.asarray(azimuths_rad, dtype=float)
-    if az.ndim != 1 or az.size < 3:
-        raise TooFewStationsError(f"need >= 3 azimuths, got {az.size}")
-    if not np.all(np.isfinite(az)):
-        raise ValueError("azimuths must be finite")
-    return np.column_stack([np.cos(az), np.sin(az), np.ones(az.size)])
+def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
+    """(G' R^-1 G)^-1 summed over the leading station axis, and where it is singular.
 
-
-def _normal_matrix(az_rad: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """G' R^-1 G summed over the trailing station axis.
-
-    ``az_rad`` and ``weights`` share shape (..., N); a zero weight drops
-    a station. Returns shape (..., 3, 3).
+    ``az_rad`` and ``weights`` share shape (S, ...); a zero weight drops a
+    station. A cell is singular when the normal matrix's 2-norm condition
+    number is above ``CONDITION_LIMIT`` or undefined; its inverse is then
+    that of the identity, so that no warning escapes. Returns the
+    inverses, shape (..., 3, 3), and the singular flags, shape (...).
     """
     c = np.cos(az_rad)
     s = np.sin(az_rad)
-    m = np.empty(az_rad.shape[:-1] + (3, 3))
-    m[..., 0, 0] = np.sum(weights * c * c, axis=-1)
-    m[..., 0, 1] = np.sum(weights * c * s, axis=-1)
-    m[..., 0, 2] = np.sum(weights * c, axis=-1)
-    m[..., 1, 1] = np.sum(weights * s * s, axis=-1)
-    m[..., 1, 2] = np.sum(weights * s, axis=-1)
-    m[..., 2, 2] = np.sum(weights, axis=-1)
-    m[..., 1, 0] = m[..., 0, 1]
-    m[..., 2, 0] = m[..., 0, 2]
-    m[..., 2, 1] = m[..., 1, 2]
-    return m
+    m = np.empty(az_rad.shape[1:] + (3, 3))
+    m[..., 0, 0] = np.sum(weights * c * c, axis=0)
+    m[..., 0, 1] = m[..., 1, 0] = np.sum(weights * c * s, axis=0)
+    m[..., 0, 2] = m[..., 2, 0] = np.sum(weights * c, axis=0)
+    m[..., 1, 1] = np.sum(weights * s * s, axis=0)
+    m[..., 1, 2] = m[..., 2, 1] = np.sum(weights * s, axis=0)
+    m[..., 2, 2] = np.sum(weights, axis=0)
+    lam = np.abs(np.linalg.eigvalsh(m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = ~(lam[..., -1] / lam[..., 0] <= CONDITION_LIMIT)
+    m = np.where(singular[..., None, None], np.eye(3), m)
 
-
-def _inv3_sym(m: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of symmetric 3x3 matrices, batched over leading axes."""
+    # adjugate inverse of a symmetric 3x3
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
     cof00 = d * f - e * e
@@ -79,25 +79,15 @@ def _inv3_sym(m: np.ndarray) -> np.ndarray:
     k[..., 1, 1] = cof11 / det
     k[..., 1, 2] = k[..., 2, 1] = cof12 / det
     k[..., 2, 2] = cof22 / det
-    return k
-
-
-def _condition_sym(m: np.ndarray) -> np.ndarray:
-    """2-norm condition number of symmetric matrices; inf when singular."""
-    lam = np.abs(np.linalg.eigvalsh(m))
-    lo = lam[..., 0]
-    hi = lam[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.inf)
+    return k, singular
 
 
 def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
     """Position-error covariance K = (G' R^-1 G)^-1, a symmetric PSD 3x3.
 
     ``sigma2_m2`` holds each station's TOA variance in m^2 and must be
-    positive. Raises SingularGeometryError when the normal matrix has
-    condition number above ``CONDITION_LIMIT`` (collinear or duplicate
-    azimuths).
+    positive. Raises SingularGeometryError when the normal matrix is
+    singular (collinear or duplicate azimuths).
     """
     az = np.asarray(azimuths_rad, dtype=float)
     s2 = np.asarray(sigma2_m2, dtype=float)
@@ -107,17 +97,72 @@ def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
         raise ValueError(f"sigma2 shape {s2.shape} does not match azimuths {az.shape}")
     if not np.all(s2 > 0.0):
         raise ValueError("all sigma2 must be > 0")
-    m = _normal_matrix(az, 1.0 / s2)
-    cond = float(_condition_sym(m))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularGeometryError(f"normal matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return _inv3_sym(m)
+    k, singular = _inverse_normal(az, 1.0 / s2)
+    if singular:
+        raise SingularGeometryError("normal matrix is singular or too ill-conditioned to invert")
+    return k
 
 
 def accuracy95(k: np.ndarray) -> float:
     """95% horizontal accuracy in meters: 2*sqrt(K11 + K22)."""
     k = np.asarray(k, dtype=float)
     return float(2.0 * np.sqrt(k[0, 0] + k[1, 1]))
+
+
+def accuracy_arrays(
+    lat_deg,
+    lon_deg,
+    stations: list[TransmitterStation],
+    params: ModelParams,
+    prop: PropagationSpec,
+    noise: NoiseSpec,
+    snr_threshold_db: float,
+):
+    """95% horizontal accuracy at points of any shape; the one copy of the rules.
+
+    ``lat_deg`` and ``lon_deg`` are scalars or equal-shape arrays. Each
+    station's SNR is its field strength minus the noise level, its TOA
+    variance is J_i^2 + C^2/SNR, and it is usable when its SNR is at or
+    above ``snr_threshold_db``. A point with fewer than three usable
+    stations is masked ``TooFewStations``; one whose normal matrix is
+    singular, ``SingularGeometry``.
+
+    Returns ``(snr_db, azimuth_rad, sigma2_m2, usable, accuracy_m,
+    usable_count, mask)``. The first four have the station axis first,
+    shape (S, ...); the rest have the points' shape, with NaN accuracy
+    and the reason in ``mask`` where masked and "" elsewhere. Raises
+    UnknownStationError for a station without a jitter parameter,
+    NonpositiveSnrError for a NaN SNR and ValueError for a usable
+    station with zero variance.
+    """
+    for tx in stations:
+        if tx.station_id not in params.jitter_m:
+            raise UnknownStationError(f"no jitter parameter for station {tx.station_id!r}")
+    per_station = (len(stations),) + (1,) * np.ndim(lat_deg)
+    noise_db = noise.level_at(lat_deg, lon_deg)
+    snr_db = np.array([field_strength_dbuv_m(tx, lat_deg, lon_deg, prop) - noise_db for tx in stations])
+    if np.isnan(snr_db).any():
+        raise NonpositiveSnrError("SNR is NaN; the field strength or the noise level is not a number")
+    sites = np.array([(tx.position.lat_deg, tx.position.lon_deg) for tx in stations]).T
+    az = bearing_rad(lat_deg, lon_deg, *sites.reshape((2,) + per_station))
+    jitter = np.reshape([params.jitter_m[tx.station_id] for tx in stations], per_station)
+    sigma2 = toa_variance_m2(jitter, params.c_m, 10.0 ** (snr_db / 10.0))
+
+    usable = snr_db >= snr_threshold_db
+    if np.any(usable & (sigma2 == 0.0)):
+        raise ValueError(
+            "zero TOA variance for a usable station (jitter and C both zero); "
+            "the weighted solution is undefined"
+        )
+    count = usable.sum(axis=0)
+    weights = np.divide(1.0, sigma2, out=np.zeros_like(sigma2), where=usable)
+    k, singular = _inverse_normal(az, weights)
+    too_few = count < 3
+    ok = ~too_few & ~singular
+    horiz = np.maximum(np.where(ok, k[..., 0, 0] + k[..., 1, 1], 0.0), 0.0)
+    accuracy = np.where(ok, 2.0 * np.sqrt(horiz), np.nan)
+    mask = np.where(too_few, MASK_TOO_FEW_STATIONS, np.where(singular, MASK_SINGULAR_GEOMETRY, ""))
+    return snr_db, az, sigma2, usable, accuracy, count, mask
 
 
 @dataclass(frozen=True)
@@ -162,24 +207,13 @@ def accuracy_at(
     """
     if not stations:
         raise ValueError("stations must be non-empty")
-    diags = []
-    for tx in stations:
-        snr_db, snr_linear = snr_at(tx, p, prop, noise)
-        diags.append(
-            StationAccuracy(
-                station_id=tx.station_id,
-                snr_db=snr_db,
-                snr_linear=snr_linear,
-                sigma2_m2=predict_sigma2(params, tx.station_id, snr_linear),
-                azimuth_rad=azimuth(p, tx.position),
-                usable=snr_db >= snr_threshold_db,
-            )
-        )
-    usable = [d for d in diags if d.usable]
-    if len(usable) < 3:
-        return PointAccuracy(None, MASK_TOO_FEW_STATIONS, len(usable), diags)
-    try:
-        k = covariance([d.azimuth_rad for d in usable], [d.sigma2_m2 for d in usable])
-    except SingularGeometryError:
-        return PointAccuracy(None, MASK_SINGULAR_GEOMETRY, len(usable), diags)
-    return PointAccuracy(accuracy95(k), None, len(usable), diags)
+    snr_db, az, sigma2, usable, acc, count, mask = accuracy_arrays(
+        p.lat_deg, p.lon_deg, stations, params, prop, noise, snr_threshold_db
+    )
+    if any(tx.position == p for tx in stations):
+        raise CoincidentPointsError(f"azimuth undefined at a transmitter site ({p.lat_deg}, {p.lon_deg})")
+    snr_linear = 10.0 ** (snr_db / 10.0)
+    columns = zip(snr_db.tolist(), snr_linear.tolist(), sigma2.tolist(), az.tolist(), usable.tolist())
+    diags = [StationAccuracy(tx.station_id, *col) for tx, col in zip(stations, columns)]
+    reason = str(mask) or None
+    return PointAccuracy(None if reason else float(acc), reason, int(count), diags)

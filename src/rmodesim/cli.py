@@ -3,7 +3,8 @@
 Every subcommand takes ``--config`` pointing at a run configuration
 (see config module); outputs land next to the config file unless the
 configured paths are absolute. Exit codes: 0 success, 2 validation or
-parse failure, 3 fit degeneracy or insufficient data, 4 resource limits.
+parse failure, 3 fit degeneracy, insufficient data or NNLS non-convergence,
+4 resource limits.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     GridTooLargeError,
     InsufficientDataError,
     InsufficientSamplesError,
+    NnlsConvergenceError,
     RmodeError,
 )
 from .geodesy import GeoPoint
@@ -249,7 +251,8 @@ def main(argv=None) -> int:
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InsufficientSamplesError, InsufficientDataError, DegenerateDesignError) as exc:
+    except (InsufficientSamplesError, InsufficientDataError, DegenerateDesignError,
+            NnlsConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (RmodeError, FileNotFoundError, ValueError) as exc:

@@ -10,6 +10,7 @@ against the config file's directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +96,8 @@ class _Section:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{self.where}.{key}: expected a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ConfigError(f"{self.where}.{key}: expected a finite number, got {v!r}")
         return float(v)
 
     def finish(self):

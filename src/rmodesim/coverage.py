@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accuracy import (
-    CONDITION_LIMIT,
-    MASK_SINGULAR_GEOMETRY,
-    MASK_TOO_FEW_STATIONS,
-    _condition_sym,
-    _inv3_sym,
-    _normal_matrix,
-)
+from .accuracy import accuracy_arrays
 from .errors import GridTooLargeError
-from .geodesy import bearing_rad
-from .propagation import NoiseSpec, PropagationSpec, TransmitterStation, snr_db_at
+from .propagation import NoiseSpec, PropagationSpec, TransmitterStation
 from .variance_model import ModelParams
 
 DEFAULT_CELL_LIMIT = 10_000_000
@@ -38,6 +30,7 @@ _BLOCK_CELLS = 2500
 class GridSpec:
     """A lat/lon lattice: inclusive bounds and a positive step in degrees.
 
+    Latitudes lie in [-90, 90] and longitudes in [-180, 180], as for GeoPoint.
     Node coordinates are ``min + i * step`` (never accumulated), with
     ``floor((max - min) / step + 1e-9) + 1`` nodes per axis: the 1e-9 keeps
     the ``max`` node of a whole number of steps that divides to just under.
@@ -54,6 +47,10 @@ class GridSpec:
             raise ValueError(f"lat_min {self.lat_min} must be < lat_max {self.lat_max}")
         if not self.lon_min < self.lon_max:
             raise ValueError(f"lon_min {self.lon_min} must be < lon_max {self.lon_max}")
+        if not (-90.0 <= self.lat_min and self.lat_max <= 90.0):
+            raise ValueError(f"latitudes {self.lat_min}..{self.lat_max} outside [-90, 90]")
+        if not (-180.0 <= self.lon_min and self.lon_max <= 180.0):
+            raise ValueError(f"longitudes {self.lon_min}..{self.lon_max} outside [-180, 180]")
         if not self.step_deg > 0.0:
             raise ValueError(f"step_deg must be > 0, got {self.step_deg}")
 
@@ -90,53 +87,6 @@ class CoverageGrid:
     snr_db: np.ndarray  # (n_stations, n_lat, n_lon)
 
 
-def _sweep_rows(
-    lat_vals: np.ndarray,
-    lon_vals: np.ndarray,
-    stations: list[TransmitterStation],
-    params: ModelParams,
-    prop: PropagationSpec,
-    noise: NoiseSpec,
-    snr_threshold_db: float,
-):
-    """Evaluate a block of latitude rows; returns per-cell arrays."""
-    lat2 = np.broadcast_to(lat_vals[:, None], (lat_vals.size, lon_vals.size))
-    lon2 = np.broadcast_to(lon_vals[None, :], (lat_vals.size, lon_vals.size))
-
-    snr_db = np.empty((len(stations),) + lat2.shape)
-    az = np.empty_like(snr_db)
-    sigma2 = np.empty_like(snr_db)
-    c2 = params.c_m * params.c_m
-    for k, tx in enumerate(stations):
-        snr_db[k] = snr_db_at(tx, lat2, lon2, prop, noise)
-        az[k] = bearing_rad(lat2, lon2, tx.position.lat_deg, tx.position.lon_deg)
-        j = params.jitter_m[tx.station_id]
-        sigma2[k] = j * j + c2 / 10.0 ** (snr_db[k] / 10.0)
-
-    usable = snr_db >= snr_threshold_db
-    if np.any(usable & (sigma2 == 0.0)):
-        raise ValueError(
-            "zero TOA variance for a usable station (jitter and C both zero); "
-            "the weighted solution is undefined"
-        )
-    count = usable.sum(axis=0).astype(np.int64)
-    weights = np.divide(1.0, sigma2, out=np.zeros_like(sigma2), where=usable)
-
-    # station axis last for the 3x3 normal-matrix kernels
-    m = _normal_matrix(np.moveaxis(az, 0, -1), np.moveaxis(weights, 0, -1))
-    too_few = count < 3
-    cond = _condition_sym(m)
-    singular = ~too_few & ~(cond <= CONDITION_LIMIT)
-    ok = ~too_few & ~singular
-    # substitute the identity in bad cells so the inverse stays warning-free
-    m_safe = np.where(ok[..., None, None], m, np.eye(3))
-    k3 = _inv3_sym(m_safe)
-    horiz = np.maximum(np.where(ok, k3[..., 0, 0] + k3[..., 1, 1], 0.0), 0.0)
-    accuracy = np.where(ok, 2.0 * np.sqrt(horiz), np.nan)
-    mask = np.where(too_few, MASK_TOO_FEW_STATIONS, np.where(singular, MASK_SINGULAR_GEOMETRY, ""))
-    return accuracy, count, mask, snr_db
-
-
 def compute_coverage(
     spec: GridSpec,
     stations: list[TransmitterStation],
@@ -160,9 +110,6 @@ def compute_coverage(
         raise ValueError(f"need >= 3 configured stations, got {len(stations)}")
     if spec.cell_count > cell_limit:
         raise GridTooLargeError(f"{spec.cell_count} cells exceeds the limit of {cell_limit}")
-    for tx in stations:
-        if tx.station_id not in params.jitter_m:
-            raise ValueError(f"no jitter parameter for station {tx.station_id!r}")
 
     lats = spec.lat_values()
     lons = spec.lon_values()
@@ -171,9 +118,12 @@ def compute_coverage(
     mask = np.empty((lats.size, lons.size), dtype="<U16")
     snr_db = np.empty((len(stations), lats.size, lons.size))
 
+    lat2 = np.broadcast_to(lats[:, None], accuracy.shape)
+    lon2 = np.broadcast_to(lons[None, :], accuracy.shape)
+
     def run_block(rows: slice) -> None:
-        accuracy[rows], count[rows], mask[rows], snr_db[:, rows] = _sweep_rows(
-            lats[rows], lons, stations, params, prop, noise, snr_threshold_db
+        snr_db[:, rows], _, _, _, accuracy[rows], count[rows], mask[rows] = accuracy_arrays(
+            lat2[rows], lon2[rows], stations, params, prop, noise, snr_threshold_db
         )
 
     block_rows = max(1, _BLOCK_CELLS // lons.size)

@@ -41,6 +41,10 @@ class NonpositiveSnrError(RmodeError):
     """SNR must be a positive linear power ratio."""
 
 
+class NnlsConvergenceError(RmodeError):
+    """The NNLS active-set iteration hit its iteration cap without converging."""
+
+
 class InsufficientSamplesError(RmodeError):
     """Too few variance samples to estimate the model."""
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NnlsConvergenceError
+
 
 def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
     """Solve ``argmin_x || a @ x - b ||_2`` subject to ``x >= 0``.
@@ -17,7 +19,8 @@ def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
     max_iter : int, optional
         Cap on inner iterations (default ``10 * n``); the active-set
         method terminates finitely, the cap only guards against cycling
-        caused by rounding on near-degenerate designs.
+        caused by rounding on near-degenerate designs. Hitting it raises
+        NnlsConvergenceError.
     tol : float, optional
         Dual-feasibility tolerance on the gradient ``a.T @ (b - a @ x)``.
         Default scales machine epsilon by the problem size and the
@@ -68,7 +71,7 @@ def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
                 break
             iters += 1
             if iters > max_iter:
-                raise RuntimeError(f"nnls failed to converge in {max_iter} iterations")
+                raise NnlsConvergenceError(f"nnls failed to converge in {max_iter} iterations")
             # step from x toward z, stopping where the first free
             # component reaches the bound; that component leaves the
             # free set with an exact zero

@@ -17,6 +17,7 @@ dB(uV/m), tagged with the season label and percentile it represents.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -191,11 +192,6 @@ def field_strength_dbuv_m(tx: TransmitterStation, lat_deg, lon_deg, spec: Propag
     )
 
 
-def field_strength(tx: TransmitterStation, p: GeoPoint, spec: PropagationSpec) -> float:
-    """Field strength in dB(uV/m) at a single point."""
-    return float(field_strength_dbuv_m(tx, p.lat_deg, p.lon_deg, spec))
-
-
 def snr_db_at(
     tx: TransmitterStation,
     lat_deg,
@@ -221,7 +217,7 @@ def load_field_grid(path) -> FieldGrid:
     Rows must form a complete rectangular lattice in row-major order:
     latitude blocks ascending, longitude ascending within each block
     (the order ``write_field_grid`` emits). Comment lines starting with
-    ``#`` are ignored. Raises ParseError on malformed rows,
+    ``#`` are ignored. Raises ParseError on malformed or non-finite rows,
     NonMonotonicAxesError on axis-order violations, and ValueError on an
     incomplete lattice.
     """
@@ -246,6 +242,8 @@ def load_field_grid(path) -> FieldGrid:
                 lat, lon, val = (float(c) for c in row)
             except ValueError as exc:
                 raise ParseError(lineno, f"non-numeric field: {exc}") from None
+            if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(val)):
+                raise ParseError(lineno, "non-finite field")
             lats.append(lat)
             lons.append(lon)
             values.append(val)

@@ -56,14 +56,18 @@ class FitReport:
     n_trimmed: int
 
 
+def toa_variance_m2(jitter_m, c_m, snr_linear):
+    """The model's TOA variance J^2 + C^2/SNR in m^2, elementwise over arrays."""
+    return jitter_m * jitter_m + c_m * c_m / snr_linear
+
+
 def predict_sigma2(params: ModelParams, station_id: str, snr_linear: float) -> float:
     """Predicted TOA variance in m^2 for one station at a linear SNR."""
     if station_id not in params.jitter_m:
         raise UnknownStationError(f"no jitter parameter for station {station_id!r}")
     if not snr_linear > 0.0:
         raise NonpositiveSnrError(f"snr_linear must be > 0, got {snr_linear}")
-    j = params.jitter_m[station_id]
-    return j * j + params.c_m * params.c_m / snr_linear
+    return toa_variance_m2(params.jitter_m[station_id], params.c_m, snr_linear)
 
 
 def residual_rss(params: ModelParams, samples: Sequence[VarianceSample]) -> float:

@@ -12,7 +12,6 @@ from rmodesim import (
     accuracy95,
     accuracy_at,
     covariance,
-    geometry_matrix,
 )
 from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
 from rmodesim.errors import SingularGeometryError, TooFewStationsError
@@ -26,28 +25,9 @@ def random_geometry(rng, n):
     """Azimuths rejected until comfortably away from collinearity."""
     while True:
         az = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        g = geometry_matrix(az)
+        g = np.column_stack([np.cos(az), np.sin(az), np.ones(n)])
         if np.linalg.cond(g.T @ g) < 1e4:
             return az
-
-
-class TestGeometryMatrix:
-    def test_cardinal_rows(self):
-        g = geometry_matrix([0.0, math.pi / 2.0, math.pi])
-        assert np.allclose(g, [[1, 0, 1], [0, 1, 1], [-1, 0, 1]], atol=1e-12)
-
-    def test_unit_norm_direction_columns(self):
-        rng = np.random.default_rng(0)
-        g = geometry_matrix(rng.uniform(0, 2 * math.pi, size=7))
-        assert np.allclose(np.hypot(g[:, 0], g[:, 1]), 1.0, atol=1e-12)
-        assert np.array_equal(g[:, 2], np.ones(7))
-
-    def test_shape(self):
-        assert geometry_matrix(np.zeros(5) + [0, 1, 2, 3, 4]).shape == (5, 3)
-
-    def test_too_few(self):
-        with pytest.raises(TooFewStationsError):
-            geometry_matrix([0.0, 1.0])
 
 
 class TestCovariance:

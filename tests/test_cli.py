@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import yaml
 
+import rmodesim.variance_model
 from rmodesim.cli import main
+from rmodesim.errors import NnlsConvergenceError
 from rmodesim.ingest import MEASUREMENT_COLUMNS
 
 from helpers import destination_point
@@ -119,6 +121,21 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--config", str(config_factory()), str(log))
         assert code == 2
         assert "row 2" in err
+
+    def test_nnls_non_convergence_exit_3(self, config_factory, tmp_path, capsys, monkeypatch):
+        config = config_factory()
+        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
+            "--noise", "none", "--windows", "20")
+        logs = sorted((tmp_path / "logs").glob("*.csv"))
+
+        def stalled(a, b):
+            raise NnlsConvergenceError("nnls failed to converge in 40 iterations")
+
+        monkeypatch.setattr(rmodesim.variance_model, "nnls", stalled)
+        code, out, err = run(capsys, "fit", "--config", str(config), *[str(p) for p in logs])
+        assert code == 3
+        assert "converge" in err and "Traceback" not in err
+        assert not (tmp_path / "fitted_params.yaml").exists()
 
     def test_csv_format(self, config_factory, tmp_path, capsys):
         config = config_factory()
@@ -255,6 +272,16 @@ class TestCoverage:
         code, _, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
         assert code == 2
 
+    def test_grid_beyond_pole_exit_2(self, config_factory, tmp_path, capsys):
+        def mutate(cfg):
+            cfg["grid"] = {"lat_min": 85.0, "lat_max": 95.0, "lon_min": 120.0, "lon_max": 121.0,
+                           "step_deg": 1.0}
+
+        code, out, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
+        assert code == 2
+        assert "grid" in err and "[-90, 90]" in err and out == ""
+        assert not (tmp_path / "coverage.csv").exists()
+
     def test_missing_config_exit_2(self, capsys):
         code, _, err = run(capsys, "coverage", "--config", "/no/run.yaml")
         assert code == 2
@@ -280,6 +307,21 @@ class TestCoverage:
         assert code == 0, err
         lines = (tmp_path / "contour.csv").read_text().splitlines()
         assert lines[0] == "lat_deg,lon_deg"
+
+
+@pytest.mark.parametrize(
+    "command", [["coverage"], ["accuracy", "--lat", "36.0", "--lon", "127.0"]], ids=["coverage", "accuracy"]
+)
+def test_nan_noise_level_exit_2(config_factory, tmp_path, capsys, command):
+    def mutate(cfg):
+        cfg["noise"]["level_dbuv_m"] = float("nan")
+
+    config = config_factory(mutate=mutate)
+    assert "level_dbuv_m: .nan" in config.read_text()
+    code, out, err = run(capsys, command[0], "--config", str(config), *command[1:])
+    assert code == 2
+    assert "noise.level_dbuv_m" in err and out == ""
+    assert not (tmp_path / "coverage.csv").exists()
 
 
 class TestSynth:

@@ -83,6 +83,25 @@ def test_non_numeric_rejected(config_factory):
         load_config(config_factory(mutate=mutate))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_number_rejected(config_factory, value):
+    def mutate(cfg):
+        cfg["noise"]["level_dbuv_m"] = value
+
+    with pytest.raises(ConfigError, match=r"noise\.level_dbuv_m: expected a finite number"):
+        load_config(config_factory(mutate=mutate))
+
+
+@pytest.mark.parametrize("key, value", [("lat_max", 95.0), ("lat_min", -90.5), ("lon_max", 180.5)])
+def test_grid_outside_geographic_ranges_rejected(config_factory, key, value):
+    def mutate(cfg):
+        cfg["grid"].update({"lat_min": 35.0, "lat_max": 37.0, "lon_min": 126.0, "lon_max": 128.0})
+        cfg["grid"][key] = value
+
+    with pytest.raises(ConfigError, match="grid"):
+        load_config(config_factory(mutate=mutate))
+
+
 def test_grid_propagation_loads_lattices(config_factory, tmp_path):
     grid = FieldGrid([34.0, 38.0], [125.0, 129.0], np.full((2, 2), 60.0))
     for sid in ("s0", "s1", "s2"):

@@ -11,7 +11,9 @@ import rmodesim.coverage as coverage_module
 
 from rmodesim import (
     CoverageGrid,
+    FieldGrid,
     GeoPoint,
+    GridPropagation,
     GridSpec,
     ModelParams,
     NoiseSpec,
@@ -27,7 +29,8 @@ from rmodesim import (
 )
 from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
 from rmodesim.config import load_config
-from rmodesim.errors import GridTooLargeError
+from rmodesim.errors import GridTooLargeError, NonpositiveSnrError
+from rmodesim.propagation import field_strength_dbuv_m
 
 from helpers import destination_point
 
@@ -89,6 +92,10 @@ class TestGridSpec:
     )
     @settings(max_examples=300)
     def test_whole_number_of_steps_ends_on_max(self, lo_units, step_units, k):
+        # GridSpec takes latitudes in [-90, 90]: shrink the step, then move
+        # min down, until the k steps end there
+        step_units = min(step_units, 1_800_000 // k)
+        lo_units = min(lo_units, 900_000 - k * step_units)
         lo, step = lo_units / 1e4, step_units / 1e4
         hi = (lo_units + k * step_units) / 1e4
         spec = GridSpec(lo, hi, lo, hi, step)
@@ -103,6 +110,14 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 2.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 0.0)
+
+    def test_bounds_outside_geopoint_ranges_rejected(self):
+        for bounds in [(85.0, 95.0, 120.0, 121.0), (-91.0, 0.0, 0.0, 1.0), (0.0, 1.0, -181.0, 0.0),
+                       (0.0, 1.0, 179.0, 181.0)]:
+            with pytest.raises(ValueError, match="outside"):
+                GridSpec(*bounds, 1.0)
+        spec = GridSpec(-90.0, 90.0, -180.0, 180.0, 90.0)
+        assert (spec.n_lat, spec.n_lon) == (3, 5)
 
 
 class TestComputeCoverage:
@@ -154,6 +169,16 @@ class TestComputeCoverage:
                     assert a.dtype == b.dtype and a.shape == b.shape, (name, rows, t)
                     assert a.tobytes() == b.tobytes(), (name, rows, t)
 
+    def test_nan_snr_raises_on_both_paths(self):
+        # a NaN noise level once masked every cell silently in the sweep
+        # while the point query raised
+        stations, params, prop, _ = scenario()
+        noise = NoiseSpec(level_dbuv_m=float("nan"))
+        with pytest.raises(NonpositiveSnrError, match="NaN"):
+            compute_coverage(GridSpec(35.0, 37.0, 126.0, 128.0, 0.5), stations, params, prop, noise, -15.0)
+        with pytest.raises(NonpositiveSnrError, match="NaN"):
+            accuracy_at(GeoPoint(36.0, 127.0), stations, params, prop, noise, -15.0)
+
     def test_threshold_monotonicity(self):
         stations, params, prop, _ = scenario()
         noise = NoiseSpec(level_dbuv_m=55.0)
@@ -198,6 +223,68 @@ class TestComputeCoverage:
             assert (new.mask == "").sum() >= (base.mask == "").sum()
             both = (base.mask == "") & (new.mask == "")
             assert np.all(new.accuracy_m[both] <= base.accuracy_m[both])
+
+
+# Three stations on the equator: the equator node at longitude 0 hears all
+# three in two opposite directions (SingularGeometry), and at these noise
+# levels the nodes 3 or more degrees north hear fewer than three
+# (TooFewStations).
+EQUATOR_SITES = ((0.0, -0.6137), (0.0, 0.2071), (0.0, 1.0213))
+
+
+def equator_scenario(kind, noise_dbuv_m, jitters, c_m, seed):
+    stations = [
+        TransmitterStation(f"e{i}", GeoPoint(lat, lon), 300.0 + 100.0 * i, 300e3, j)
+        for i, ((lat, lon), j) in enumerate(zip(EQUATOR_SITES, jitters))
+    ]
+    params = ModelParams({tx.station_id: tx.jitter_m for tx in stations}, c_m)
+    prop = ParametricPropagation(ref_field_dbuv_m=109.5, atten_db_per_km=0.03)
+    if kind == "parametric":
+        return stations, params, prop, NoiseSpec(level_dbuv_m=noise_dbuv_m)
+    # lattices whose nodes fall between the grid nodes and off the sites,
+    # with a seeded ripple
+    rng = np.random.default_rng(seed)
+    axis = np.arange(-10.35, 10.4, 0.7)
+    lat2, lon2 = np.meshgrid(axis, axis, indexing="ij")
+    grids = {}
+    for tx in stations:
+        field = field_strength_dbuv_m(tx, lat2, lon2, prop)
+        grids[tx.station_id] = FieldGrid(axis, axis, field + rng.normal(0.0, 1.0, field.shape))
+    noise = FieldGrid(axis, axis, noise_dbuv_m + rng.normal(0.0, 1.0, lat2.shape))
+    return stations, params, GridPropagation(grids), NoiseSpec(grid=noise)
+
+
+@pytest.mark.parametrize("kind", ["parametric", "lattice"])
+@given(
+    step=st.sampled_from([0.5, 0.75]),
+    south=st.integers(1, 4),
+    north=st.integers(6, 9),
+    west=st.integers(1, 8),
+    east=st.integers(2, 10),
+    noise_dbuv_m=st.floats(63.0, 68.0),
+    threshold_db=st.floats(-16.0, -12.0),
+    jitters=st.tuples(*[st.floats(0.0, 3.0)] * 3),
+    c_m=st.floats(1.0, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_point_query_matches_coverage_at_every_node(
+    kind, step, south, north, west, east, noise_dbuv_m, threshold_db, jitters, c_m, seed
+):
+    stations, params, prop, noise = equator_scenario(kind, noise_dbuv_m, jitters, c_m, seed)
+    spec = GridSpec(-south * step, north * step, -west * step, east * step, step)
+    grid = compute_coverage(spec, stations, params, prop, noise, threshold_db, threads=1)
+    assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY} <= set(np.unique(grid.mask))
+    for i, lat in enumerate(grid.lat_deg.tolist()):
+        for j, lon in enumerate(grid.lon_deg.tolist()):
+            # a station this close to the threshold may count on one path only
+            if np.any(np.abs(grid.snr_db[:, i, j] - threshold_db) < 1e-9):
+                continue
+            point = accuracy_at(GeoPoint(lat, lon), stations, params, prop, noise, threshold_db)
+            assert (point.mask_reason or "") == grid.mask[i, j], (lat, lon)
+            assert point.usable_count == grid.usable_count[i, j], (lat, lon)
+            if not point.masked:
+                assert point.accuracy_m == pytest.approx(grid.accuracy_m[i, j], rel=1e-9), (lat, lon)
 
 
 class TestCsvOutput:

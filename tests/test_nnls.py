@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from rmodesim.errors import NnlsConvergenceError
 from rmodesim.nnls import nnls
 
 
@@ -64,6 +65,17 @@ def test_input_validation():
         nnls(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         nnls(np.zeros((3, 2)), np.zeros(4))
+
+
+def test_iteration_cap_raises_named_error():
+    # freeing the second column drives the first negative, so the solve
+    # needs one inner iteration, more than a cap of zero allows
+    a = np.array([[3.0, 3.0, 0.0], [3.0, 3.0, 1.0], [1.0, 2.0, 2.0]])
+    b = np.array([1.0, -1.0, 4.0])
+    x, _ = nnls(a, b)
+    assert np.allclose(x, [0.0, 0.0, 1.4])
+    with pytest.raises(NnlsConvergenceError, match="converge"):
+        nnls(a, b, max_iter=0)
 
 
 def test_deterministic():

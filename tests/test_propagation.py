@@ -10,7 +10,6 @@ from rmodesim import (
     NoiseSpec,
     ParametricPropagation,
     TransmitterStation,
-    field_strength,
     load_field_grid,
     snr_at,
     wavelength_m,
@@ -22,7 +21,7 @@ from rmodesim.errors import (
     OutOfGridBoundsError,
     ZeroDistanceError,
 )
-from rmodesim.propagation import SPEED_OF_LIGHT_M_S
+from rmodesim.propagation import SPEED_OF_LIGHT_M_S, field_strength_dbuv_m
 
 
 def make_tx(power_w=300.0, lat=0.0, lon=0.0, sid="tx"):
@@ -35,33 +34,32 @@ class TestParametric:
         # these two points sit at an exact 1:2 distance ratio
         tx = make_tx()
         spec = ParametricPropagation(ref_field_dbuv_m=100.0, atten_db_per_km=0.0)
-        f1 = field_strength(tx, GeoPoint(0.0, 1.0), spec)
-        f2 = field_strength(tx, GeoPoint(0.0, 2.0), spec)
+        f1 = field_strength_dbuv_m(tx, 0.0, 1.0, spec)
+        f2 = field_strength_dbuv_m(tx, 0.0, 2.0, spec)
         assert f1 - f2 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)  # 6.0206
 
     def test_power_ratio_500_vs_300(self):
-        p = GeoPoint(1.0, 1.0)
         spec = ParametricPropagation()
-        delta = field_strength(make_tx(500.0), p, spec) - field_strength(make_tx(300.0), p, spec)
+        delta = field_strength_dbuv_m(make_tx(500.0), 1.0, 1.0, spec) - field_strength_dbuv_m(
+            make_tx(300.0), 1.0, 1.0, spec
+        )
         assert delta == pytest.approx(2.2185, abs=1e-4)
 
     def test_linear_attenuation_term(self):
         tx = make_tx()
-        p = GeoPoint(0.0, 1.0)
         d_km = 111.19492664455873  # one equatorial degree
-        f0 = field_strength(tx, p, ParametricPropagation(100.0, 0.0))
-        f1 = field_strength(tx, p, ParametricPropagation(100.0, 0.05))
+        f0 = field_strength_dbuv_m(tx, 0.0, 1.0, ParametricPropagation(100.0, 0.0))
+        f1 = field_strength_dbuv_m(tx, 0.0, 1.0, ParametricPropagation(100.0, 0.05))
         assert f0 - f1 == pytest.approx(0.05 * d_km, rel=1e-9)
 
     def test_zero_distance_raises(self):
         tx = make_tx()
         with pytest.raises(ZeroDistanceError):
-            field_strength(tx, GeoPoint(0.0, 0.0), ParametricPropagation())
+            field_strength_dbuv_m(tx, 0.0, 0.0, ParametricPropagation())
 
     def test_strictly_increasing_in_power(self):
-        p = GeoPoint(2.0, 2.0)
         spec = ParametricPropagation()
-        fields = [field_strength(make_tx(pw), p, spec) for pw in (100.0, 200.0, 400.0, 800.0)]
+        fields = [field_strength_dbuv_m(make_tx(pw), 2.0, 2.0, spec) for pw in (100.0, 200.0, 400.0, 800.0)]
         assert np.all(np.diff(fields) > 0.0)
 
     def test_snr_strictly_decreasing_with_distance(self):
@@ -84,7 +82,7 @@ class TestSnr:
         tx = make_tx()
         p = GeoPoint(0.0, 1.0)
         spec = ParametricPropagation(ref_field_dbuv_m=100.0, atten_db_per_km=0.0)
-        f = field_strength(tx, p, spec)
+        f = field_strength_dbuv_m(tx, p.lat_deg, p.lon_deg, spec)
         db, lin = snr_at(tx, p, spec, NoiseSpec(level_dbuv_m=f))
         assert db == 0.0
         assert lin == 1.0
@@ -93,7 +91,7 @@ class TestSnr:
         tx = make_tx()
         p = GeoPoint(0.0, 1.0)
         spec = ParametricPropagation(ref_field_dbuv_m=100.0, atten_db_per_km=0.0)
-        f = field_strength(tx, p, spec)
+        f = field_strength_dbuv_m(tx, p.lat_deg, p.lon_deg, spec)
         db, lin = snr_at(tx, p, spec, NoiseSpec(level_dbuv_m=f - 15.0))
         assert db == pytest.approx(15.0, abs=1e-12)
         assert lin == pytest.approx(31.623, abs=1e-3)
@@ -180,11 +178,11 @@ class TestGridIo:
         grid = FieldGrid([-1.0, 1.0], [-1.0, 1.0], np.full((2, 2), 60.0))
         prop = GridPropagation(grids={"tx": grid})
         tx = make_tx()
-        assert field_strength(tx, GeoPoint(0.0, 0.0), prop) == 60.0
+        assert field_strength_dbuv_m(tx, 0.0, 0.0, prop) == 60.0
         with pytest.raises(KeyError):
-            field_strength(make_tx(sid="other"), GeoPoint(0.0, 0.0), prop)
+            field_strength_dbuv_m(make_tx(sid="other"), 0.0, 0.0, prop)
         with pytest.raises(OutOfGridBoundsError):
-            field_strength(tx, GeoPoint(2.0, 0.0), prop)
+            field_strength_dbuv_m(tx, 2.0, 0.0, prop)
 
     def test_incomplete_lattice_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -208,6 +206,17 @@ class TestGridIo:
         path.write_text("lat_deg,lon_deg,value_dbuv_m\n0.0,0.0,abc\n")
         with pytest.raises(ParseError):
             load_field_grid(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_field_rejected_with_row(self, tmp_path, field, column):
+        row = ["0.0", "1.0", "2.0"]
+        row[column] = field
+        path = tmp_path / "bad.csv"
+        path.write_text("lat_deg,lon_deg,value_dbuv_m\n0.0,0.0,1.0\n" + ",".join(row) + "\n")
+        with pytest.raises(ParseError, match="row 3: non-finite") as exc:
+            load_field_grid(path)
+        assert exc.value.row == 3
 
 
 def test_wavelength():
