@@ -44,12 +44,12 @@ snr_schedule = np.linspace(1.0, 1000.0, 600)
 samples = []
 for idx, (sid, jitter) in enumerate(sorted(TRUE_JITTER_M.items())):
     rng = np.random.default_rng([42, idx])
-    records = synth_station_log(
+    log = synth_station_log(
         sid, jitter, TRUE_C_M, LAMBDA_M, snr_schedule, WINDOW_LEN, noise="gauss", rng=rng
     )
-    station_samples = window_variance(records, window_len=WINDOW_LEN, wavelength_m=LAMBDA_M)
+    station_samples = window_variance(log, window_len=WINDOW_LEN, wavelength_m=LAMBDA_M)
     samples.extend(station_samples)
-    print(f"{sid}: {len(records)} records -> {len(station_samples)} variance samples")
+    print(f"{sid}: {log.timestamp.size} records -> {len(station_samples)} variance samples")
 
 # ------------------------------------------------------------------
 # 3. Fit. The model is linear in (J_i^2, C^2), so the RSS-minimizing

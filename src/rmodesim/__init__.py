@@ -28,7 +28,7 @@ from .coverage import (
 )
 from .geodesy import EARTH_RADIUS_M, GeoPoint, azimuth, geodesic_distance
 from .ingest import (
-    PhaseRecord,
+    StationLog,
     VarianceSample,
     group_by_station,
     parse_measurement_file,

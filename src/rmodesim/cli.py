@@ -94,10 +94,10 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     by_id = {tx.station_id: tx for tx in cfg.stations}
 
-    records = []
+    logs = []
     for path in args.measurements:
-        records.extend(parse_measurement_file(path))
-    groups = group_by_station(records)
+        logs.extend(parse_measurement_file(path))
+    groups = group_by_station(logs)
     unknown = sorted(set(groups) - set(by_id))
     if unknown:
         raise ConfigError(f"measurements reference stations not in config: {unknown}")
@@ -228,7 +228,7 @@ def cmd_synth(args) -> int:
         snrs = np.linspace(args.snr_min, args.snr_max, args.windows)
     for idx, tx in enumerate(cfg.stations):
         rng = np.random.default_rng([args.seed, idx])
-        records = synth_station_log(
+        log = synth_station_log(
             tx.station_id,
             jitter_m=cfg.params.jitter_m[tx.station_id],
             c_m=cfg.params.c_m,
@@ -239,8 +239,8 @@ def cmd_synth(args) -> int:
             rng=rng,
         )
         path = out_dir / f"{tx.station_id}.csv"
-        write_measurement_csv(records, path)
-        print(f"wrote {len(records)} records: {path}")
+        write_measurement_csv(log, path)
+        print(f"wrote {log.timestamp.size} records: {path}")
     return EXIT_OK
 
 

@@ -1,43 +1,48 @@
 """Receiver log ingestion: CSV parsing, phase unwrapping, windowed variance.
 
-Turns raw wrapped-phase/SNR logs into per-window TOA-variance samples.
-The TOA variance of a window is the sample variance of the continuous
-(unwrapped) carrier phase scaled by (wavelength / 2*pi)^2.
+Turns raw wrapped-phase/SNR logs, held as one ``StationLog`` of columns
+per station, into per-window TOA-variance samples. The TOA variance of a
+window is the sample variance of the continuous (unwrapped) carrier phase
+scaled by (wavelength / 2*pi)^2.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InsufficientDataError,
-    ParseError,
-)
+from .errors import EmptyInputError, InsufficientDataError, ParseError
 
 MEASUREMENT_COLUMNS = ("timestamp", "station_id", "phase_rad", "snr_db")
+LOG_COLUMNS = ("timestamp", "phase_rad", "snr_db")
 
 DEFAULT_WINDOW_LEN = 100  # records per variance window
 DEFAULT_WAVELENGTH_M = 299_792_458.0 / 300_000.0  # 300 kHz carrier
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """One logged carrier-phase observation.
+@dataclass(frozen=True, eq=False)
+class StationLog:
+    """One station's logged carrier-phase observations, in time order.
 
-    Phase is wrapped to [-pi, pi) as receivers log it; SNR is the
-    receiver-reported value in dB.
+    ``timestamp``, ``phase_rad`` and ``snr_db`` are float64 arrays of one
+    length, one entry per logged record. Phase is wrapped to [-pi, pi) as
+    receivers log it; SNR is the receiver-reported value in dB.
     """
 
-    timestamp: float
     station_id: str
-    phase_rad: float
-    snr_db: float
+    timestamp: np.ndarray
+    phase_rad: np.ndarray
+    snr_db: np.ndarray
+
+    def __post_init__(self):
+        for name in LOG_COLUMNS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.timestamp.ndim != 1 or not self.timestamp.shape == self.phase_rad.shape == self.snr_db.shape:
+            raise ValueError("timestamp, phase_rad and snr_db must be 1-D arrays of one length")
 
 
 @dataclass(frozen=True)
@@ -55,21 +60,21 @@ class VarianceSample:
             raise ValueError(f"toa_var_m2 must be >= 0, got {self.toa_var_m2}")
 
 
-def parse_measurement_file(path) -> list[PhaseRecord]:
-    """Parse a measurement CSV into PhaseRecords, in file order.
+def parse_measurement_file(path) -> list[StationLog]:
+    """Parse a measurement CSV into one StationLog per station.
 
     Schema: header ``timestamp,station_id,phase_rad,snr_db``, one record
     per line, ``.`` decimal separator, UTF-8. Lines starting with ``#``
     are comments. Timestamps must be strictly increasing per station.
+    Stations may interleave; the logs come back in the order each station
+    first appears, each holding its records in file order.
 
     Raises FileNotFoundError for a missing file and
     ParseError (with the 1-based line number) for a malformed
     header, non-numeric fields, missing columns, or a timestamp that
     does not increase.
     """
-    path = Path(path)
-    records: list[PhaseRecord] = []
-    last_t: dict[str, float] = {}
+    columns: dict[str, tuple[list[float], list[float], list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as f:
         header = None
         for lineno, row in enumerate(csv.reader(f), start=1):
@@ -95,25 +100,32 @@ def parse_measurement_file(path) -> list[PhaseRecord]:
                 snr = float(snr_str)
             except ValueError as exc:
                 raise ParseError(lineno, f"non-numeric field: {exc}") from None
-            if not (np.isfinite(t) and np.isfinite(phase) and np.isfinite(snr)):
+            if not (math.isfinite(t) and math.isfinite(phase) and math.isfinite(snr)):
                 raise ParseError(lineno, "non-finite field")
-            if station_id in last_t and t <= last_t[station_id]:
+            cols = columns.get(station_id)
+            if cols is None:
+                cols = columns[station_id] = ([], [], [])
+            elif t <= cols[0][-1]:
                 raise ParseError(
                     lineno, f"timestamp {t} not increasing for station {station_id}"
                 )
-            last_t[station_id] = t
-            records.append(PhaseRecord(t, station_id, phase, snr))
+            cols[0].append(t)
+            cols[1].append(phase)
+            cols[2].append(snr)
         if header is None:
             raise ParseError(1, "empty file, missing header")
-    return records
+    return [StationLog(sid, *cols) for sid, cols in columns.items()]
 
 
-def group_by_station(records) -> dict[str, list[PhaseRecord]]:
-    """Split records into per-station lists, preserving order."""
-    groups: dict[str, list[PhaseRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.station_id, []).append(rec)
-    return groups
+def group_by_station(logs) -> dict[str, StationLog]:
+    """Join the logs of each station in input order, so several files can hold one station."""
+    parts: dict[str, list[StationLog]] = {}
+    for log in logs:
+        parts.setdefault(log.station_id, []).append(log)
+    return {
+        sid: StationLog(sid, *(np.concatenate([getattr(p, c) for p in ps]) for c in LOG_COLUMNS))
+        for sid, ps in parts.items()
+    }
 
 
 def unwrap_phase(wrapped) -> np.ndarray:
@@ -134,12 +146,12 @@ def unwrap_phase(wrapped) -> np.ndarray:
 
 
 def window_variance(
-    records,
+    log: StationLog,
     window_len: int = DEFAULT_WINDOW_LEN,
     wavelength_m: float = DEFAULT_WAVELENGTH_M,
     detrend: str = "none",
 ) -> list[VarianceSample]:
-    """Convert a single station's phase records into TOA-variance samples.
+    """Convert one station's log into TOA-variance samples.
 
     The phase series is unwrapped once over the whole series, then split
     into consecutive non-overlapping windows of ``window_len`` records
@@ -154,9 +166,8 @@ def window_variance(
     receiver clock ramp) before the variance; the residual variance then
     uses denominator n-2. Off by default.
 
-    Records must be time-sorted and from one station. Raises
-    InsufficientDataError when there are fewer than ``window_len``
-    records.
+    The log must be time-sorted. Raises InsufficientDataError when it
+    holds fewer than ``window_len`` records.
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
@@ -166,34 +177,31 @@ def window_variance(
         raise ValueError(f"detrend must be 'none' or 'linear', got {detrend!r}")
     if detrend == "linear" and window_len < 3:
         raise ValueError("linear detrend needs window_len >= 3")
-    records = list(records)
-    if len(records) < window_len:
+    n_windows = log.phase_rad.size // window_len
+    if n_windows == 0:
         raise InsufficientDataError(
-            f"{len(records)} records, need at least window_len={window_len}"
+            f"{log.phase_rad.size} records, need at least window_len={window_len}"
         )
-    station_ids = {r.station_id for r in records}
-    if len(station_ids) != 1:
-        raise ValueError(f"records span multiple stations: {sorted(station_ids)}")
-    station_id = records[0].station_id
-
-    phase = unwrap_phase([r.phase_rad for r in records])
-    snr_db = np.array([r.snr_db for r in records])
+    shape = (n_windows, window_len)
+    phase = unwrap_phase(log.phase_rad)[: n_windows * window_len].reshape(shape)
+    # anchoring on each window's first element keeps the variance well
+    # conditioned when the mean phase dwarfs its scatter
+    p = phase - phase[:, :1]
+    if detrend == "linear":
+        # one fit per window: a batched fit and dot would sum in another order
+        t = np.arange(window_len, dtype=float)
+        var = []
+        for row in p:
+            coef = np.polynomial.polynomial.polyfit(t, row, 1)
+            resid = row - np.polynomial.polynomial.polyval(t, coef)
+            var.append(float(resid @ resid) / (window_len - 2))
+    else:
+        var = np.var(p, axis=1, ddof=1).tolist()
+    mean_db = np.mean(log.snr_db[: n_windows * window_len].reshape(shape), axis=1).tolist()
     scale = (wavelength_m / TWO_PI) ** 2
-
-    n_windows = len(records) // window_len
-    samples = []
-    for i in range(n_windows):
-        sl = slice(i * window_len, (i + 1) * window_len)
-        # anchoring on the first element keeps the variance well
-        # conditioned when the mean phase dwarfs its scatter
-        p = phase[sl] - phase[sl.start]
-        if detrend == "linear":
-            t = np.arange(window_len, dtype=float)
-            coef = np.polynomial.polynomial.polyfit(t, p, 1)
-            resid = p - np.polynomial.polynomial.polyval(t, coef)
-            var = float(resid @ resid) / (window_len - 2)
-        else:
-            var = float(np.var(p, ddof=1))
-        snr_linear = float(10.0 ** (np.mean(snr_db[sl]) / 10.0))
-        samples.append(VarianceSample(station_id, snr_linear, scale * var))
-    return samples
+    # the dB -> linear power stays on Python floats: numpy's vectorised pow
+    # can differ from the scalar one in the last bit
+    return [
+        VarianceSample(log.station_id, 10.0 ** (m / 10.0), scale * v)
+        for m, v in zip(mean_db, var)
+    ]

@@ -239,7 +239,7 @@ def load_field_grid(path) -> FieldGrid:
             if len(row) != 3:
                 raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
             try:
-                lat, lon, val = (float(c) for c in row)
+                lat, lon, val = float(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ParseError(lineno, f"non-numeric field: {exc}") from None
             if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(val)):
@@ -252,20 +252,16 @@ def load_field_grid(path) -> FieldGrid:
     if not lats:
         raise ValueError("grid file has no data rows")
 
-    lat_axis = sorted(set(lats))
-    lon_axis = sorted(set(lons))
-    expected_order = [(la, lo) for la in lat_axis for lo in lon_axis]
-    if len(lats) != len(expected_order):
-        raise ValueError(
-            f"incomplete lattice: {len(lats)} rows for a "
-            f"{len(lat_axis)}x{len(lon_axis)} grid"
-        )
-    if list(zip(lats, lons)) != expected_order:
+    lat_axis = np.unique(lats)
+    lon_axis = np.unique(lons)
+    n_lat, n_lon = lat_axis.size, lon_axis.size
+    if len(lats) != n_lat * n_lon:
+        raise ValueError(f"incomplete lattice: {len(lats)} rows for a {n_lat}x{n_lon} grid")
+    if not (np.array_equal(lats, np.repeat(lat_axis, n_lon)) and np.array_equal(lons, np.tile(lon_axis, n_lat))):
         raise NonMonotonicAxesError(
             "rows must be lat-major with both axes strictly increasing"
         )
-    vals = np.asarray(values).reshape(len(lat_axis), len(lon_axis))
-    return FieldGrid(lat_axis, lon_axis, vals)
+    return FieldGrid(lat_axis, lon_axis, np.array(values).reshape(n_lat, n_lon))
 
 
 def write_field_grid(grid: FieldGrid, path) -> None:
@@ -274,9 +270,11 @@ def write_field_grid(grid: FieldGrid, path) -> None:
     Values serialize with ``repr`` so a read-back reproduces them
     bit-exactly.
     """
+    # csv.writer's framing, one joined string per latitude row (no repr of
+    # a float holds a comma, quote or newline)
+    lon_strs = [repr(lon) for lon in grid.lon_deg.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(GRID_COLUMNS)
-        for i, lat in enumerate(grid.lat_deg):
-            for j, lon in enumerate(grid.lon_deg):
-                w.writerow([repr(float(lat)), repr(float(lon)), repr(float(grid.values_dbuv_m[i, j]))])
+        f.write(",".join(GRID_COLUMNS) + "\r\n")
+        for lat, row in zip(grid.lat_deg.tolist(), grid.values_dbuv_m.tolist()):
+            pre = f"{lat!r},"
+            f.write("".join(f"{pre}{lon},{v!r}\r\n" for lon, v in zip(lon_strs, row)))

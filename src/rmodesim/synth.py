@@ -1,11 +1,12 @@
 """Synthetic measurement-log generation for tests and demos.
 
-Builds raw phase/SNR logs whose windowed variance reproduces a given
-model exactly ("none" noise: a zero-mean pattern scaled so each window's
-sample variance hits the target bit-for-bit up to rounding) or
-statistically ("gauss" noise: independent normal phases, chi-squared
-scatter in the recovered variances). Test tooling, not a claim about
-how any real receiver behaves.
+Builds one station's raw phase/SNR log as a ``StationLog`` whose
+windowed variance reproduces a given model exactly ("none" noise: a
+zero-mean pattern scaled so each window's sample variance hits the
+target bit-for-bit up to rounding) or statistically ("gauss" noise:
+independent normal phases, chi-squared scatter in the recovered
+variances). Test tooling, not a claim about how any real receiver
+behaves.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ import csv
 
 import numpy as np
 
-from .ingest import MEASUREMENT_COLUMNS, PhaseRecord
-
-TWO_PI = 2.0 * np.pi
-
-
-def _wrap(phase: np.ndarray) -> np.ndarray:
-    """Wrap to [-pi, pi) the way receivers log phase."""
-    return np.mod(phase + np.pi, TWO_PI) - np.pi
+from .ingest import MEASUREMENT_COLUMNS, TWO_PI, StationLog
 
 
 def synth_station_log(
@@ -35,12 +29,12 @@ def synth_station_log(
     rng: np.random.Generator | None = None,
     t0: float = 0.0,
     dt: float = 1.0,
-) -> list[PhaseRecord]:
+) -> StationLog:
     """Generate one station's log: one window per entry of ``snr_linear``.
 
     Each window holds ``window_len`` records at the window's SNR, with
     phase variance matching sigma^2 = jitter^2 + C^2/snr scaled into the
-    phase domain by (2*pi/wavelength)^2.
+    phase domain by (2*pi/wavelength)^2. Record k is stamped t0 + k*dt.
     """
     if noise not in ("none", "gauss"):
         raise ValueError(f"noise must be 'none' or 'gauss', got {noise!r}")
@@ -59,28 +53,23 @@ def synth_station_log(
     base_var = float(np.var(base, ddof=1))
 
     phase_scale = (TWO_PI / wavelength_m) ** 2  # m^2 -> rad^2
-    records = []
-    t = t0
-    for snr in snr_values:
-        sigma2_m2 = jitter_m * jitter_m + c_m * c_m / snr
-        phase_var = sigma2_m2 * phase_scale
-        if noise == "none":
-            phases = base * np.sqrt(phase_var / base_var)
-        else:
-            phases = rng.normal(0.0, np.sqrt(phase_var), n)
-        snr_db = float(10.0 * np.log10(snr))
-        for p in _wrap(phases):
-            records.append(PhaseRecord(t, station_id, float(p), snr_db))
-            t += dt
-    return records
+    phase_var = (jitter_m * jitter_m + c_m * c_m / snr_values) * phase_scale
+    if noise == "none":
+        phases = base * np.sqrt(phase_var / base_var)[:, None]
+    else:
+        phases = rng.normal(0.0, np.sqrt(phase_var)[:, None], (snr_values.size, n))
+    wrapped = np.mod(phases + np.pi, TWO_PI) - np.pi  # to [-pi, pi), as receivers log phase
+    return StationLog(
+        station_id, t0 + dt * np.arange(phases.size), wrapped.ravel(), np.repeat(10.0 * np.log10(snr_values), n)
+    )
 
 
-def write_measurement_csv(records, path) -> None:
-    """Write records in the measurement CSV schema."""
+def write_measurement_csv(log: StationLog, path) -> None:
+    """Write one station's log in the measurement CSV schema."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(MEASUREMENT_COLUMNS)
-        for r in records:
-            w.writerow(
-                [repr(float(r.timestamp)), r.station_id, repr(float(r.phase_rad)), repr(float(r.snr_db))]
-            )
+        w.writerows(
+            (repr(t), log.station_id, repr(p), repr(s))
+            for t, p, s in zip(log.timestamp.tolist(), log.phase_rad.tolist(), log.snr_db.tolist())
+        )

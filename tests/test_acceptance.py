@@ -27,7 +27,7 @@ from rmodesim import (
     fit_params,
     window_variance,
 )
-from rmodesim.ingest import PhaseRecord
+from rmodesim.ingest import StationLog
 from rmodesim.propagation import SPEED_OF_LIGHT_M_S
 
 from helpers import destination_point, mc_wls_horizontal_cov, subprocess_env
@@ -221,9 +221,9 @@ def test_criterion_6_phase_to_toa_unit_check():
     lam = SPEED_OF_LIGHT_M_S / 300_000.0  # 999.3082 m at 300 kHz
     n = 100
     d = math.sqrt((n - 1) / n)  # alternating +-d has sample variance 1
-    records = [
-        PhaseRecord(float(i), "s", d if i % 2 == 0 else -d, 20.0) for i in range(n)
-    ]
+    records = StationLog(
+        "s", np.arange(n, dtype=float), [d if i % 2 == 0 else -d for i in range(n)], np.full(n, 20.0)
+    )
     (sample,) = window_variance(records, window_len=n, wavelength_m=lam)
     expected = (lam / (2.0 * math.pi)) ** 2
     ok = abs(sample.toa_var_m2 - 25_295.0) <= 1.0

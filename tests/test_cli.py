@@ -150,6 +150,27 @@ class TestFit:
         assert lines[0] == "station_id,jitter_m,n_samples,rss_contribution"
         assert lines[-1].startswith("C,")
 
+    def test_station_split_over_two_files_fits_like_one(self, config_factory, tmp_path, capsys):
+        config = config_factory()
+        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
+            "--noise", "gauss", "--windows", "20", "--seed", "2")
+        logs = sorted((tmp_path / "logs").glob("*.csv"))
+
+        def fit(paths):
+            outs = [run(capsys, "fit", "--config", str(config), *map(str, paths), *fmt)
+                    for fmt in ([], ["--format", "csv"])]
+            assert all(code == 0 for code, _, _ in outs)
+            files = [(tmp_path / name).read_bytes() for name in ("fitted_params.yaml", "fit_report.csv")]
+            return [out for _, out, _ in outs], files
+
+        whole = fit(logs)
+        header, *rows = logs[1].read_text(encoding="utf-8").splitlines(keepends=True)
+        split = 7 * 100  # a window boundary at window_len 100
+        parts = [tmp_path / "s1_a.csv", tmp_path / "s1_b.csv"]
+        parts[0].write_text(header + "".join(rows[:split]), encoding="utf-8")
+        parts[1].write_text(header + "".join(rows[split:]), encoding="utf-8")
+        assert fit([logs[0], *parts, logs[2]]) == whole
+
 
 class TestAccuracy:
     def test_point_inside_coverage(self, config_factory, capsys):
@@ -345,7 +366,7 @@ class TestSynth:
         config = config_factory()
         run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
             "--windows", "5")
-        records = parse_measurement_file(tmp_path / "logs" / "s1.csv")
-        assert len(records) == 500
-        assert all(r.station_id == "s1" for r in records)
-        assert all(-math.pi <= r.phase_rad < math.pi for r in records)
+        (log,) = parse_measurement_file(tmp_path / "logs" / "s1.csv")
+        assert log.timestamp.size == 500
+        assert log.station_id == "s1"
+        assert all(-math.pi <= p < math.pi for p in log.phase_rad)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmodesim import PhaseRecord, VarianceSample, parse_measurement_file, unwrap_phase, window_variance
+from rmodesim import StationLog, VarianceSample, parse_measurement_file, unwrap_phase, window_variance
 from rmodesim.errors import EmptyInputError, InsufficientDataError, ParseError
 from rmodesim.ingest import group_by_station
 
@@ -18,8 +18,9 @@ def write(tmp_path, text, name="meas.csv"):
     return p
 
 
-def make_records(phases, station="stn", snr_db=20.0, t0=0.0):
-    return [PhaseRecord(t0 + i, station, p, snr_db) for i, p in enumerate(phases)]
+def make_log(phases, station="stn", snr_db=20.0, t0=0.0):
+    n = len(phases)
+    return StationLog(station, t0 + np.arange(n), phases, np.full(n, snr_db))
 
 
 class TestParse:
@@ -28,12 +29,14 @@ class TestParse:
 
     def test_single_row_round_trip(self, tmp_path):
         path = write(tmp_path, HEADER + "1.5,stn_a,-0.25,12.5\n")
-        (rec,) = parse_measurement_file(path)
-        assert rec == PhaseRecord(1.5, "stn_a", -0.25, 12.5)
+        (log,) = parse_measurement_file(path)
+        assert log.station_id == "stn_a"
+        assert (log.timestamp.tolist(), log.phase_rad.tolist(), log.snr_db.tolist()) == ([1.5], [-0.25], [12.5])
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "# comment\n" + HEADER + "# another\n1.0,a,0.1,10\n\n2.0,a,0.2,11\n"
-        assert len(parse_measurement_file(write(tmp_path, text))) == 2
+        (log,) = parse_measurement_file(write(tmp_path, text))
+        assert log.timestamp.size == 2
 
     def test_non_numeric_phase_rejected_with_row(self, tmp_path):
         path = write(tmp_path, HEADER + "1.0,a,0.1,10\n2.0,a,oops,10\n")
@@ -65,7 +68,13 @@ class TestParse:
         text = HEADER + "1.0,a,0.1,10\n1.0,b,0.3,8\n2.0,a,0.2,10\n2.0,b,0.4,8\n"
         groups = group_by_station(parse_measurement_file(write(tmp_path, text)))
         assert sorted(groups) == ["a", "b"]
-        assert [r.timestamp for r in groups["a"]] == [1.0, 2.0]
+        assert groups["a"].timestamp.tolist() == [1.0, 2.0]
+
+    def test_logs_of_one_station_join_in_input_order(self):
+        groups = group_by_station([make_log([0.1, 0.2]), make_log([0.3], station="b"), make_log([0.4], t0=2.0)])
+        assert list(groups) == ["stn", "b"]
+        assert groups["stn"].timestamp.tolist() == [0.0, 1.0, 2.0]
+        assert groups["stn"].phase_rad.tolist() == [0.1, 0.2, 0.4]
 
 
 class TestUnwrap:
@@ -117,7 +126,7 @@ class TestUnwrap:
 
 class TestWindowVariance:
     def test_constant_phase_gives_zero(self):
-        samples = window_variance(make_records([0.7] * 100), window_len=100)
+        samples = window_variance(make_log([0.7] * 100), window_len=100)
         assert len(samples) == 1
         assert samples[0].toa_var_m2 == 0.0
 
@@ -127,57 +136,52 @@ class TestWindowVariance:
         d = math.sqrt((n - 1) / n)
         pattern = [d if i % 2 == 0 else -d for i in range(n)]
         lam = 999.308
-        (sample,) = window_variance(make_records(pattern), window_len=n, wavelength_m=lam)
+        (sample,) = window_variance(make_log(pattern), window_len=n, wavelength_m=lam)
         assert sample.toa_var_m2 == pytest.approx((lam / (2 * math.pi)) ** 2, rel=1e-12)
         assert sample.toa_var_m2 == pytest.approx(25_295.0, abs=1.0)
 
     def test_partition_discards_remainder(self):
-        samples = window_variance(make_records([0.0] * 250), window_len=100)
+        samples = window_variance(make_log([0.0] * 250), window_len=100)
         assert len(samples) == 2
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            window_variance(make_records([0.0] * 99), window_len=100)
+            window_variance(make_log([0.0] * 99), window_len=100)
 
     def test_phase_offset_invariance(self):
         rng = np.random.default_rng(5)
         phases = rng.normal(0.0, 0.05, size=300)
-        base = window_variance(make_records(list(phases)), window_len=100)
-        shifted = window_variance(make_records(list(phases + 0.4)), window_len=100)
+        base = window_variance(make_log(list(phases)), window_len=100)
+        shifted = window_variance(make_log(list(phases + 0.4)), window_len=100)
         for a, b in zip(base, shifted):
             assert a.toa_var_m2 == pytest.approx(b.toa_var_m2, rel=1e-9, abs=1e-15)
 
     def test_wavelength_squared_scaling_is_exact(self):
         rng = np.random.default_rng(6)
-        recs = make_records(list(rng.normal(0.0, 0.05, size=200)))
+        recs = make_log(list(rng.normal(0.0, 0.05, size=200)))
         base = window_variance(recs, window_len=100, wavelength_m=500.0)
         doubled = window_variance(recs, window_len=100, wavelength_m=1000.0)
         for a, b in zip(base, doubled):
             assert b.toa_var_m2 == 4.0 * a.toa_var_m2
 
     def test_snr_mean_in_db_then_linear(self):
-        recs = [PhaseRecord(i, "s", 0.0, snr) for i, snr in enumerate([10.0, 20.0])]
-        (sample,) = window_variance(recs, window_len=2)
+        log = StationLog("s", [0.0, 1.0], [0.0, 0.0], [10.0, 20.0])
+        (sample,) = window_variance(log, window_len=2)
         assert sample.snr_linear == pytest.approx(10.0 ** 1.5, rel=1e-12)
 
     def test_unwrap_happens_before_windowing(self):
         # a slow ramp crossing +pi: the wrap must not inflate the variance
         ramp = np.linspace(3.0, 3.6, 100)
         wrapped = list(np.mod(ramp + np.pi, 2 * np.pi) - np.pi)
-        (sample,) = window_variance(make_records(wrapped), window_len=100, wavelength_m=1.0)
+        (sample,) = window_variance(make_log(wrapped), window_len=100, wavelength_m=1.0)
         ramp_var = np.var(ramp, ddof=1) / (2 * math.pi) ** 2
         assert sample.toa_var_m2 == pytest.approx(ramp_var, rel=1e-9)
-
-    def test_multiple_stations_rejected(self):
-        recs = make_records([0.0] * 50, station="a") + make_records([0.0] * 50, station="b")
-        with pytest.raises(ValueError):
-            window_variance(recs, window_len=100)
 
     def test_linear_detrend_removes_clock_ramp(self):
         rng = np.random.default_rng(8)
         noise = rng.normal(0.0, 0.01, size=200)
         ramp = np.linspace(0.0, 2.0, 200)
-        recs = make_records(list(ramp + noise))
+        recs = make_log(list(ramp + noise))
         raw = window_variance(recs, window_len=100, wavelength_m=1.0)
         det = window_variance(recs, window_len=100, wavelength_m=1.0, detrend="linear")
         for r, d in zip(raw, det):
@@ -188,11 +192,18 @@ class TestWindowVariance:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            window_variance(make_records([0.0] * 10), window_len=1)
+            window_variance(make_log([0.0] * 10), window_len=1)
         with pytest.raises(ValueError):
-            window_variance(make_records([0.0] * 10), window_len=5, detrend="quadratic")
+            window_variance(make_log([0.0] * 10), window_len=5, detrend="quadratic")
         with pytest.raises(ValueError):
-            window_variance(make_records([0.0] * 10), window_len=5, wavelength_m=0.0)
+            window_variance(make_log([0.0] * 10), window_len=5, wavelength_m=0.0)
+
+
+def test_station_log_columns_must_share_one_length():
+    with pytest.raises(ValueError):
+        StationLog("s", [0.0, 1.0], [0.0], [10.0, 10.0])
+    with pytest.raises(ValueError):
+        StationLog("s", [[0.0]], [[0.0]], [[10.0]])
 
 
 def test_variance_sample_validation():
