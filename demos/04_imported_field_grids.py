@@ -88,10 +88,12 @@ for tx in stations:
 
 # ------------------------------------------------------------------
 # 4. The sweep works identically with imported lattices; queries must
-#    stay inside the lattice envelope, so the sweep grid does.
+#    stay inside the lattice envelope, so the sweep grid does. A node on
+#    a transmitter site has no azimuth (CoincidentPointsError), so the
+#    nodes sit half a step off the sites.
 # ------------------------------------------------------------------
 params = ModelParams({tx.station_id: tx.jitter_m for tx in stations}, 22.15)
-spec = GridSpec(34.5, 38.5, 124.5, 129.5, 0.05)
+spec = GridSpec(34.525, 38.525, 124.525, 129.525, 0.05)
 grid = compute_coverage(spec, stations, params, prop, noise, -15.0)
 s = coverage_summary(grid)
 print(

@@ -37,6 +37,7 @@ CONDITION_LIMIT = 1e12  # normal-matrix condition number above which geometry is
 
 MASK_TOO_FEW_STATIONS = "TooFewStations"
 MASK_SINGULAR_GEOMETRY = "SingularGeometry"
+_EYE = np.eye(3)
 
 
 def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
@@ -48,19 +49,19 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
     that of the identity, so that no warning escapes. Returns the
     inverses, shape (..., 3, 3), and the singular flags, shape (...).
     """
-    c = np.cos(az_rad)
-    s = np.sin(az_rad)
+    c, s = np.cos(az_rad), np.sin(az_rad)
+    wc, ws = weights * c, weights * s
     m = np.empty(az_rad.shape[1:] + (3, 3))
-    m[..., 0, 0] = np.sum(weights * c * c, axis=0)
-    m[..., 0, 1] = m[..., 1, 0] = np.sum(weights * c * s, axis=0)
-    m[..., 0, 2] = m[..., 2, 0] = np.sum(weights * c, axis=0)
-    m[..., 1, 1] = np.sum(weights * s * s, axis=0)
-    m[..., 1, 2] = m[..., 2, 1] = np.sum(weights * s, axis=0)
-    m[..., 2, 2] = np.sum(weights, axis=0)
+    m[..., 0, 0] = (wc * c).sum(axis=0)
+    m[..., 0, 1] = m[..., 1, 0] = (wc * s).sum(axis=0)
+    m[..., 0, 2] = m[..., 2, 0] = wc.sum(axis=0)
+    m[..., 1, 1] = (ws * s).sum(axis=0)
+    m[..., 1, 2] = m[..., 2, 1] = ws.sum(axis=0)
+    m[..., 2, 2] = weights.sum(axis=0)
     lam = np.abs(np.linalg.eigvalsh(m))
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = ~(lam[..., -1] / lam[..., 0] <= CONDITION_LIMIT)
-    m = np.where(singular[..., None, None], np.eye(3), m)
+    m[singular] = _EYE
 
     # adjugate inverse of a symmetric 3x3
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
@@ -132,24 +133,30 @@ def accuracy_arrays(
     shape (S, ...); the rest have the points' shape, with NaN accuracy
     and the reason in ``mask`` where masked and "" elsewhere. Raises
     UnknownStationError for a station without a jitter parameter,
-    NonpositiveSnrError for a NaN SNR and ValueError for a usable
-    station with zero variance.
+    CoincidentPointsError before any propagation for a point on a
+    transmitter site (no azimuth), NonpositiveSnrError for a NaN SNR
+    and ValueError for a usable station with zero variance.
     """
     for tx in stations:
         if tx.station_id not in params.jitter_m:
             raise UnknownStationError(f"no jitter parameter for station {tx.station_id!r}")
     per_station = (len(stations),) + (1,) * np.ndim(lat_deg)
+    site_lat = np.array([tx.position.lat_deg for tx in stations]).reshape(per_station)
+    site_lon = np.array([tx.position.lon_deg for tx in stations]).reshape(per_station)
+    on_site = (site_lat == lat_deg) & (site_lon == lon_deg)
+    if on_site.any():
+        tx = stations[np.nonzero(on_site)[0][0]]
+        raise CoincidentPointsError(f"azimuth undefined at the site of station {tx.station_id!r}")
     noise_db = noise.level_at(lat_deg, lon_deg)
     snr_db = np.array([field_strength_dbuv_m(tx, lat_deg, lon_deg, prop) - noise_db for tx in stations])
     if np.isnan(snr_db).any():
         raise NonpositiveSnrError("SNR is NaN; the field strength or the noise level is not a number")
-    sites = np.array([(tx.position.lat_deg, tx.position.lon_deg) for tx in stations]).T
-    az = bearing_rad(lat_deg, lon_deg, *sites.reshape((2,) + per_station))
-    jitter = np.reshape([params.jitter_m[tx.station_id] for tx in stations], per_station)
+    az = bearing_rad(lat_deg, lon_deg, site_lat, site_lon)
+    jitter = np.array([params.jitter_m[tx.station_id] for tx in stations]).reshape(per_station)
     sigma2 = toa_variance_m2(jitter, params.c_m, 10.0 ** (snr_db / 10.0))
 
     usable = snr_db >= snr_threshold_db
-    if np.any(usable & (sigma2 == 0.0)):
+    if (usable & (sigma2 == 0.0)).any():
         raise ValueError(
             "zero TOA variance for a usable station (jitter and C both zero); "
             "the weighted solution is undefined"
@@ -203,17 +210,15 @@ def accuracy_at(
 
     Stations below the SNR threshold are dropped. Fewer than three
     usable stations, or a singular geometry, masks the point instead of
-    raising.
+    raising; a transmitter site raises CoincidentPointsError.
     """
     if not stations:
         raise ValueError("stations must be non-empty")
     snr_db, az, sigma2, usable, acc, count, mask = accuracy_arrays(
         p.lat_deg, p.lon_deg, stations, params, prop, noise, snr_threshold_db
     )
-    if any(tx.position == p for tx in stations):
-        raise CoincidentPointsError(f"azimuth undefined at a transmitter site ({p.lat_deg}, {p.lon_deg})")
     snr_linear = 10.0 ** (snr_db / 10.0)
     columns = zip(snr_db.tolist(), snr_linear.tolist(), sigma2.tolist(), az.tolist(), usable.tolist())
     diags = [StationAccuracy(tx.station_id, *col) for tx, col in zip(stations, columns)]
-    reason = str(mask) or None
+    reason = mask.item() or None
     return PointAccuracy(None if reason else float(acc), reason, int(count), diags)

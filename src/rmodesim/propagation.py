@@ -80,10 +80,9 @@ class FieldGrid:
             raise ValueError("axes must be 1-D")
         if self.lat_deg.size < 2 or self.lon_deg.size < 2:
             raise ValueError("each axis needs at least 2 nodes")
-        if np.any(np.diff(self.lat_deg) <= 0.0):
-            raise NonMonotonicAxesError("lat axis is not strictly increasing")
-        if np.any(np.diff(self.lon_deg) <= 0.0):
-            raise NonMonotonicAxesError("lon axis is not strictly increasing")
+        for name, axis in (("lat", self.lat_deg), ("lon", self.lon_deg)):
+            if np.any(np.diff(axis) <= 0.0):
+                raise NonMonotonicAxesError(f"{name} axis is not strictly increasing")
         if self.values_dbuv_m.shape != (self.lat_deg.size, self.lon_deg.size):
             raise ValueError(
                 f"values shape {self.values_dbuv_m.shape} does not match axes "
@@ -93,22 +92,20 @@ class FieldGrid:
     def value_at(self, lat_deg, lon_deg):
         """Bilinear interpolation; exact at nodes, continuous across cells.
 
-        Accepts scalars or equal-shape arrays. Raises OutOfGridBoundsError
-        for any query outside the lattice envelope.
+        Accepts scalars or equal-shape arrays. An exact interior node
+        starts a cell, and each axis's upper edge lies in its last cell.
+        Raises OutOfGridBoundsError for any query outside the lattice.
         """
-        lat = np.asarray(lat_deg, dtype=float)
-        lon = np.asarray(lon_deg, dtype=float)
-        if np.any(lat < self.lat_deg[0]) or np.any(lat > self.lat_deg[-1]) or np.any(
-            lon < self.lon_deg[0]
-        ) or np.any(lon > self.lon_deg[-1]):
-            raise OutOfGridBoundsError(
-                f"query outside lattice lat [{self.lat_deg[0]}, {self.lat_deg[-1]}], "
-                f"lon [{self.lon_deg[0]}, {self.lon_deg[-1]}]"
-            )
-        i = np.clip(np.searchsorted(self.lat_deg, lat, side="right") - 1, 0, self.lat_deg.size - 2)
-        j = np.clip(np.searchsorted(self.lon_deg, lon, side="right") - 1, 0, self.lon_deg.size - 2)
-        t = (lat - self.lat_deg[i]) / (self.lat_deg[i + 1] - self.lat_deg[i])
-        u = (lon - self.lon_deg[j]) / (self.lon_deg[j + 1] - self.lon_deg[j])
+        # [()] turns a scalar query into a numpy scalar, whose arithmetic costs less than a 0-d array's
+        lat = np.asarray(lat_deg, dtype=float)[()]
+        lon = np.asarray(lon_deg, dtype=float)[()]
+        ya, xa = self.lat_deg, self.lon_deg
+        if ((lat < ya[0]) | (lat > ya[-1]) | (lon < xa[0]) | (lon > xa[-1])).any():
+            raise OutOfGridBoundsError(f"query outside lattice lat [{ya[0]}, {ya[-1]}], lon [{xa[0]}, {xa[-1]}]")
+        i = ya[1:-1].searchsorted(lat, side="right")
+        j = xa[1:-1].searchsorted(lon, side="right")
+        t = (lat - ya[i]) / (ya[i + 1] - ya[i])
+        u = (lon - xa[j]) / (xa[j + 1] - xa[j])
         v = self.values_dbuv_m
         lo = (1.0 - u) * v[i, j] + u * v[i, j + 1]
         hi = (1.0 - u) * v[i + 1, j] + u * v[i + 1, j + 1]
@@ -161,9 +158,8 @@ class NoiseSpec:
         """Noise level at a point; scalar specs broadcast over array queries."""
         if self.grid is not None:
             return self.grid.value_at(lat_deg, lon_deg)
-        return np.broadcast_to(self.level_dbuv_m, np.shape(lat_deg)).copy() if np.ndim(
-            lat_deg
-        ) else float(self.level_dbuv_m)
+        shape = np.shape(lat_deg)
+        return np.full(shape, self.level_dbuv_m) if shape else float(self.level_dbuv_m)
 
 
 def field_strength_dbuv_m(tx: TransmitterStation, lat_deg, lon_deg, spec: PropagationSpec):
@@ -180,9 +176,7 @@ def field_strength_dbuv_m(tx: TransmitterStation, lat_deg, lon_deg, spec: Propag
         return spec.grids[tx.station_id].value_at(lat_deg, lon_deg)
     d_m = haversine_m(tx.position.lat_deg, tx.position.lon_deg, lat_deg, lon_deg)
     if np.any(d_m == 0.0):
-        raise ZeroDistanceError(
-            f"field strength undefined at zero distance from {tx.station_id!r}"
-        )
+        raise ZeroDistanceError(f"field strength undefined at zero distance from {tx.station_id!r}")
     d_km = d_m / 1000.0
     return (
         spec.ref_field_dbuv_m

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from rmodesim import (
+    FieldGrid,
     GeoPoint,
+    GridPropagation,
+    GridSpec,
     ModelParams,
     NoiseSpec,
     ParametricPropagation,
     TransmitterStation,
     accuracy95,
     accuracy_at,
+    compute_coverage,
     covariance,
 )
 from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
-from rmodesim.errors import SingularGeometryError, TooFewStationsError
+from rmodesim.errors import CoincidentPointsError, SingularGeometryError, TooFewStationsError
 
 from helpers import destination_point, mc_wls_horizontal_cov
 
@@ -211,3 +215,33 @@ class TestAccuracyAt:
         params = ModelParams({}, 1.0)
         with pytest.raises(ValueError):
             accuracy_at(self.center, [], params, self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0)
+
+
+class TestTransmitterSite:
+    """A query on a transmitter site has no azimuth to that station."""
+
+    stations = [
+        TransmitterStation("a", GeoPoint(0.0, 0.0), 300.0, 300e3, 0.0),
+        TransmitterStation("b", GeoPoint(1.0, 1.5), 300.0, 300e3, 0.0),
+        TransmitterStation("c", GeoPoint(-1.0, 1.0), 300.0, 300e3, 0.0),
+    ]
+    params = ModelParams({"a": 0.0, "b": 0.0, "c": 0.0}, 22.15)
+    noise = NoiseSpec(level_dbuv_m=40.0)
+    flat = FieldGrid([-2.0, 3.0], [-2.0, 3.0], np.full((2, 2), 80.0))
+    props = {
+        "parametric": ParametricPropagation(),
+        "lattice": GridPropagation({"a": flat, "b": flat, "c": flat}),
+    }
+
+    @pytest.mark.parametrize("prop", sorted(props))
+    @pytest.mark.parametrize("site", [0, 1, 2])
+    def test_point_query_raises(self, prop, site):
+        p = self.stations[site].position
+        with pytest.raises(CoincidentPointsError, match=f"site of station '{self.stations[site].station_id}'"):
+            accuracy_at(p, self.stations, self.params, self.props[prop], self.noise, -15.0)
+
+    @pytest.mark.parametrize("prop", sorted(props))
+    def test_sweep_with_a_node_on_a_site_raises(self, prop):
+        spec = GridSpec(-1.0, 1.0, -0.5, 1.5, 0.5)  # nodes on all three sites
+        with pytest.raises(CoincidentPointsError, match="site of station"):
+            compute_coverage(spec, self.stations, self.params, self.props[prop], self.noise, -15.0)

@@ -370,3 +370,16 @@ class TestSynth:
         assert log.timestamp.size == 500
         assert log.station_id == "s1"
         assert all(-math.pi <= p < math.pi for p in log.phase_rad)
+
+
+@pytest.mark.parametrize(
+    "command", [["coverage"], ["accuracy", "--lat", "36.0", "--lon", "127.0"]], ids=["coverage", "accuracy"]
+)
+def test_point_on_a_transmitter_site_exit_2(config_factory, tmp_path, capsys, command):
+    def mutate(cfg):
+        cfg["stations"][0]["lat_deg"], cfg["stations"][0]["lon_deg"] = 36.0, 127.0  # a grid node
+
+    code, out, err = run(capsys, command[0], "--config", str(config_factory(mutate=mutate)), *command[1:])
+    assert code == 2
+    assert "site of station 's0'" in err and out == ""
+    assert not (tmp_path / "coverage.csv").exists()

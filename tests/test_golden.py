@@ -3,9 +3,10 @@
 Each case builds its inputs from fixed seeds in a fresh directory, runs
 ``rmodesim`` in-process and hashes every file it wrote, the ``synth`` logs
 and lattice files it read, and its text and CSV stdout (with the run
-directory replaced by ``<run>``). The table holds digests only, no output
-files. A mismatch names the file and the numpy version that made the
-table: the coverage accuracy goes through numpy's vectorised ``pow``, whose
+directory replaced by ``<run>``). The point case hashes the ``repr`` of
+what ``accuracy_at`` returns along a track. The table holds digests only,
+no output files. A mismatch names the file and the numpy version that made
+the table: the coverage accuracy goes through numpy's vectorised ``pow``, whose
 last bit can differ between numpy versions.
 
 Regenerate the table only with a change that says which bytes changed and
@@ -24,7 +25,10 @@ import numpy as np
 import pytest
 import yaml
 
+from rmodesim.accuracy import accuracy_at
 from rmodesim.cli import main
+from rmodesim.config import load_config
+from rmodesim.geodesy import GeoPoint
 from rmodesim.propagation import FieldGrid, write_field_grid
 
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml"
@@ -74,6 +78,12 @@ DIGESTS = {
     "fit-none/fit-stdout-csv": "adced37af5c8e4789a48625c5362450d83949047632d47d8b956ed648caf8062",
     "fit-none/out/fit_report.csv": "9fcc7f80f350d88806a85220177b36eac9d87c25e7e35b5aebc6a934461a4173",
     "fit-none/out/fitted_params.yaml": "391d1dcfd52f2b77bb2daefba4c62053556a5676f4b47638b2dca2ec7bae709e",
+    "point-lattice/lattices/field_chungju.csv": "310b323119a8f1d57478c249fae2af3f106a95e378b031f619a2bfa8f5fec1b8",
+    "point-lattice/lattices/field_eocheong.csv": "551a4f88594da38165ddf2d6b0aef7a5f96f98120e4a2dc838efae852aa77776",
+    "point-lattice/lattices/field_palmi.csv": "bc8c2cbfc92d0ace81af8fe81e3384d2e3d880a2427c86a5d55a8d2b17be13e2",
+    "point-lattice/lattices/noise.csv": "d54f56de302d0405338ee778865c7103f4f2698c5422792f7ebf1892d0277081",
+    "point-lattice/track-points": "1d7a557babbaa26b8fa0c09987f7f6131a95ec446f4eb6bbfaea3ac049d2e3d6",
+    "point-lattice/track-stations": "e93d3ca1877ffb04025d9726d195c50d9f8b9f609cfae3fd9e6d1bad95fbdec7",
 }
 
 
@@ -156,6 +166,53 @@ def _coverage_lattice_case(run_dir: Path) -> dict[str, bytes]:
     return out | _coverage_outputs(run_dir, _shipped(run_dir, mutate))
 
 
+def _point_lattice_case(run_dir: Path) -> dict[str, bytes]:
+    """``accuracy_at`` along a seeded track on seeded field and noise lattices.
+
+    Palmi moves onto Eocheong's meridian, so the track's points on that
+    meridian beyond both sites see the two at one azimuth (singular
+    geometry); the wide field range drops stations below the threshold
+    elsewhere. The track ends at exact lattice nodes and on the upper edge
+    of each axis.
+    """
+    rng = np.random.default_rng(77)
+    lat = 34.0 + 0.25 * np.arange(21)
+    lon = 124.0 + 0.25 * np.arange(21)
+    cfg = yaml.safe_load(SHIPPED_CONFIG.read_text(encoding="utf-8"))
+    grids = {}
+    for st in cfg["stations"]:
+        grids[st["id"]] = f"field_{st['id']}.csv"
+        write_field_grid(FieldGrid(lat, lon, rng.uniform(20.0, 75.0, (21, 21))), run_dir / grids[st["id"]])
+    write_field_grid(FieldGrid(lat, lon, rng.uniform(35.0, 45.0, (21, 21))), run_dir / "noise.csv")
+
+    def mutate(c):
+        c["stations"][1]["lon_deg"] = c["stations"][0]["lon_deg"]
+        c["propagation"] = {"kind": "grid", "grids": grids}
+        c["noise"] = {"season": "Averaged", "percentile": 0.95, "grid": "noise.csv"}
+        del c["grid"]
+
+    out = {f"lattices/{p.name}": p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}
+    run = load_config(_shipped(run_dir, mutate))
+    t = np.linspace(0.0, 1.0, 200)
+    track = list(zip(34.2 + 4.6 * t + rng.normal(0.0, 0.05, t.size), 128.8 - 4.6 * t + rng.normal(0.0, 0.05, t.size)))
+    meridian = run.stations[0].position.lon_deg
+    track += [(la, meridian) for la in (34.1, 35.0, 37.9, 38.6)]
+    track += [(lat[i], lon[j]) for i, j in rng.integers(0, 21, (12, 2))]
+    track += [(lat[-1], x) for x in rng.uniform(124.0, 129.0, 3)] + [(x, lon[-1]) for x in rng.uniform(34.0, 39.0, 3)]
+    track += [(lat[-1], lon[-1]), (lat[0], lon[-1]), (lat[-1], lon[0]), (lat[0], lon[0])]
+    results = [
+        accuracy_at(GeoPoint(float(la), float(lo)), run.stations, run.params, run.propagation, run.noise,
+                    run.snr_threshold_db)
+        for la, lo in track
+    ]
+    assert {"TooFewStations", "SingularGeometry", None} <= {r.mask_reason for r in results}
+    out["track-points"] = "".join(f"{(r.accuracy_m, r.mask_reason, r.usable_count)!r}\n" for r in results).encode()
+    out["track-stations"] = "".join(
+        f"{(s.station_id, s.snr_db, s.sigma2_m2, s.azimuth_rad)!r}\n" for r in results for s in r.stations
+    ).encode()
+    return out
+
+
 CASES = {
     "fit-none": lambda d: _fit_case(d, "none"),
     "fit-gauss": lambda d: _fit_case(d, "gauss"),
@@ -163,6 +220,7 @@ CASES = {
     "coverage-shipped": lambda d: _coverage_outputs(d, _shipped(d)),
     "coverage-masks": _coverage_masks_case,
     "coverage-lattice": _coverage_lattice_case,
+    "point-lattice": _point_lattice_case,
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmodesim import (
     FieldGrid,
@@ -161,6 +163,110 @@ class TestFieldGrid:
         vec = grid.value_at(lats, lons)
         for i in range(20):
             assert vec[i] == grid.value_at(lats[i], lons[i])
+
+
+def clipped_search_value_at(grid, lat_deg, lon_deg):
+    """Bilinear interpolation with the cell found by a clipped search of the full axis."""
+    lat = np.asarray(lat_deg, dtype=float)
+    lon = np.asarray(lon_deg, dtype=float)
+    i = np.clip(np.searchsorted(grid.lat_deg, lat, side="right") - 1, 0, grid.lat_deg.size - 2)
+    j = np.clip(np.searchsorted(grid.lon_deg, lon, side="right") - 1, 0, grid.lon_deg.size - 2)
+    t = (lat - grid.lat_deg[i]) / (grid.lat_deg[i + 1] - grid.lat_deg[i])
+    u = (lon - grid.lon_deg[j]) / (grid.lon_deg[j + 1] - grid.lon_deg[j])
+    v = grid.values_dbuv_m
+    lo = (1.0 - u) * v[i, j] + u * v[i, j + 1]
+    hi = (1.0 - u) * v[i + 1, j] + u * v[i + 1, j + 1]
+    out = (1.0 - t) * lo + t * hi
+    return out if out.ndim else float(out)
+
+
+def _axis(start, gaps):
+    return start + np.cumsum([0.0] + gaps)
+
+
+@st.composite
+def lattices(draw):
+    """A lattice with non-uniform axes of 2 to 6 nodes and seeded values."""
+    gaps = st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5)
+    lat = _axis(draw(st.floats(-80.0, 70.0)), draw(gaps))
+    lon = _axis(draw(st.floats(-170.0, 150.0)), draw(gaps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FieldGrid(lat, lon, rng.normal(50.0, 20.0, (lat.size, lon.size)))
+
+
+def _coordinate(axis):
+    """Any in-envelope value, weighted toward nodes, the last node and the ends."""
+    return st.one_of(st.sampled_from(axis.tolist()), st.just(float(axis[-1])), st.floats(axis[0], axis[-1]))
+
+
+@st.composite
+def lattice_queries(draw):
+    grid = draw(lattices())
+    kind = draw(st.sampled_from(["scalar", "0-d", "2-D"]))
+    if kind == "2-D":
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        n = shape[0] * shape[1]
+        lat = np.reshape(draw(st.lists(_coordinate(grid.lat_deg), min_size=n, max_size=n)), shape)
+        lon = np.reshape(draw(st.lists(_coordinate(grid.lon_deg), min_size=n, max_size=n)), shape)
+    else:
+        lat, lon = draw(_coordinate(grid.lat_deg)), draw(_coordinate(grid.lon_deg))
+        if kind == "0-d":
+            lat, lon = np.asarray(lat), np.asarray(lon)
+    return grid, lat, lon
+
+
+def assert_bitwise_equal(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestFieldGridCellSearch:
+    """``value_at`` finds each query's cell by counting interior nodes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_queries())
+    def test_matches_clipped_full_axis_search(self, case):
+        grid, lat, lon = case
+        assert_bitwise_equal(grid.value_at(lat, lon), clipped_search_value_at(grid, lat, lon))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices())
+    def test_nodes_and_envelope_corners(self, grid):
+        lat2, lon2 = np.meshgrid(grid.lat_deg, grid.lon_deg, indexing="ij")
+        assert_bitwise_equal(grid.value_at(lat2, lon2), clipped_search_value_at(grid, lat2, lon2))
+        assert np.array_equal(grid.value_at(lat2, lon2), grid.values_dbuv_m)
+        for lat in grid.lat_deg[[0, -1]].tolist():
+            for lon in grid.lon_deg[[0, -1]].tolist():
+                assert_bitwise_equal(grid.value_at(lat, lon), clipped_search_value_at(grid, lat, lon))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices(), st.floats(0.0, 1.0))
+    def test_nan_query_gives_nan(self, grid, frac):
+        lat = grid.lat_deg[0] + frac * (grid.lat_deg[-1] - grid.lat_deg[0])
+        assert math.isnan(grid.value_at(math.nan, grid.lon_deg[0]))
+        assert math.isnan(grid.value_at(lat, math.nan))
+        got = grid.value_at(np.array([lat, math.nan]), np.array([math.nan, grid.lon_deg[-1]]))
+        assert np.isnan(got).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices(), st.floats(1e-9, 10.0), st.sampled_from(["lat<", "lat>", "lon<", "lon>"]))
+    def test_outside_the_envelope_raises(self, grid, by, side):
+        lat, lon = grid.lat_deg.copy(), grid.lon_deg.copy()
+        if side == "lat<":
+            lat[0] -= by
+        elif side == "lat>":
+            lat[-1] += by
+        elif side == "lon<":
+            lon[0] -= by
+        else:
+            lon[-1] += by
+        lat2, lon2 = np.meshgrid(lat, lon, indexing="ij")
+        with pytest.raises(OutOfGridBoundsError):
+            grid.value_at(lat2, lon2)
+        corner = (lat[0], lon[0]) if side.endswith("<") else (lat[-1], lon[-1])
+        with pytest.raises(OutOfGridBoundsError):
+            grid.value_at(*corner)
 
 
 class TestGridIo:
