@@ -55,7 +55,7 @@ BINS = [(10.0, "#"), (20.0, "+"), (50.0, "."), (float("inf"), " ")]
 
 
 def glyph(i, j):
-    if grid.mask[i, j]:
+    if grid.mask_code[i, j]:
         return " "
     acc = grid.accuracy_m[i, j]
     for limit, ch in BINS:

@@ -7,6 +7,7 @@ accuracy coverage maps.
 """
 
 from .accuracy import (
+    MASK_REASONS,
     MASK_SINGULAR_GEOMETRY,
     MASK_TOO_FEW_STATIONS,
     PointAccuracy,

@@ -37,6 +37,7 @@ CONDITION_LIMIT = 1e12  # normal-matrix condition number above which geometry is
 
 MASK_TOO_FEW_STATIONS = "TooFewStations"
 MASK_SINGULAR_GEOMETRY = "SingularGeometry"
+MASK_REASONS = ("", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY)  # indexed by mask code
 _EYE = np.eye(3)
 
 
@@ -131,7 +132,8 @@ def accuracy_arrays(
     Returns ``(snr_db, azimuth_rad, sigma2_m2, usable, accuracy_m,
     usable_count, mask)``. The first four have the station axis first,
     shape (S, ...); the rest have the points' shape, with NaN accuracy
-    and the reason in ``mask`` where masked and "" elsewhere. Raises
+    where masked and ``mask`` an int8 code indexing ``MASK_REASONS``:
+    0 where unmasked, else the mask reason's position. Raises
     UnknownStationError for a station without a jitter parameter,
     CoincidentPointsError before any propagation for a point on a
     transmitter site (no azimuth), NonpositiveSnrError for a NaN SNR
@@ -168,7 +170,7 @@ def accuracy_arrays(
     ok = ~too_few & ~singular
     horiz = np.maximum(np.where(ok, k[..., 0, 0] + k[..., 1, 1], 0.0), 0.0)
     accuracy = np.where(ok, 2.0 * np.sqrt(horiz), np.nan)
-    mask = np.where(too_few, MASK_TOO_FEW_STATIONS, np.where(singular, MASK_SINGULAR_GEOMETRY, ""))
+    mask = np.where(too_few, 1, np.where(singular, 2, 0)).astype(np.int8)
     return snr_db, az, sigma2, usable, accuracy, count, mask
 
 
@@ -220,5 +222,5 @@ def accuracy_at(
     snr_linear = 10.0 ** (snr_db / 10.0)
     columns = zip(snr_db.tolist(), snr_linear.tolist(), sigma2.tolist(), az.tolist(), usable.tolist())
     diags = [StationAccuracy(tx.station_id, *col) for tx, col in zip(stations, columns)]
-    reason = mask.item() or None
+    reason = MASK_REASONS[mask.item()] or None
     return PointAccuracy(None if reason else float(acc), reason, int(count), diags)

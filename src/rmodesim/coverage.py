@@ -15,15 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accuracy import accuracy_arrays
+from .accuracy import MASK_REASONS, accuracy_arrays
 from .errors import GridTooLargeError
 from .propagation import NoiseSpec, PropagationSpec, TransmitterStation
 from .variance_model import ModelParams
 
+# A grid holds about 10 B/cell (8 accuracy, 1 mask code, 1-2 count), so
+# the limit keeps a map's arrays near 100 MB.
 DEFAULT_CELL_LIMIT = 10_000_000
 # Cells per kernel call, in whole rows: big enough to amortise the call,
-# small enough that the kernel's ~560 B/cell of temporaries stay a few MiB.
+# small enough that the kernel's ~560 B/cell of temporaries (the per-station
+# SNR among them) stay a few MiB per worker and are never held grid-wide.
 _BLOCK_CELLS = 2500
+_MASK_STRINGS = np.array(MASK_REASONS, dtype="<U16")
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,14 @@ class CoverageGrid:
     lat_deg: np.ndarray  # (n_lat,)
     lon_deg: np.ndarray  # (n_lon,)
     accuracy_m: np.ndarray  # (n_lat, n_lon), NaN where masked
-    usable_count: np.ndarray  # (n_lat, n_lon) int
-    mask: np.ndarray  # (n_lat, n_lon) str, "" where unmasked
+    usable_count: np.ndarray  # (n_lat, n_lon), unsigned, wide enough for every station
+    mask_code: np.ndarray  # (n_lat, n_lon) int8 index into MASK_REASONS, 0 where unmasked
     station_ids: list[str]
-    snr_db: np.ndarray  # (n_stations, n_lat, n_lon)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The mask reasons as a ``<U16`` array, "" where unmasked, decoded on each access."""
+        return _MASK_STRINGS[self.mask_code]
 
 
 def compute_coverage(
@@ -114,15 +122,14 @@ def compute_coverage(
     lats = spec.lat_values()
     lons = spec.lon_values()
     accuracy = np.empty((lats.size, lons.size))
-    count = np.empty((lats.size, lons.size), dtype=np.int64)
-    mask = np.empty((lats.size, lons.size), dtype="<U16")
-    snr_db = np.empty((len(stations), lats.size, lons.size))
+    count = np.empty(accuracy.shape, dtype=np.min_scalar_type(len(stations)))
+    mask_code = np.empty(accuracy.shape, dtype=np.int8)
 
     lat2 = np.broadcast_to(lats[:, None], accuracy.shape)
     lon2 = np.broadcast_to(lons[None, :], accuracy.shape)
 
     def run_block(rows: slice) -> None:
-        snr_db[:, rows], _, _, _, accuracy[rows], count[rows], mask[rows] = accuracy_arrays(
+        _, _, _, _, accuracy[rows], count[rows], mask_code[rows] = accuracy_arrays(
             lat2[rows], lon2[rows], stations, params, prop, noise, snr_threshold_db
         )
 
@@ -142,21 +149,20 @@ def compute_coverage(
         lon_deg=lons,
         accuracy_m=accuracy,
         usable_count=count,
-        mask=mask,
+        mask_code=mask_code,
         station_ids=[tx.station_id for tx in stations],
-        snr_db=snr_db,
     )
 
 
 def coverage_summary(grid: CoverageGrid) -> dict:
     """Cell totals and accuracy stats over the unmasked region."""
-    unmasked = grid.mask == ""
-    vals = grid.accuracy_m[unmasked]
+    unmasked = grid.mask_code == 0
+    vals = grid.accuracy_m[unmasked]  # a copy, so the median may reorder it
     return {
-        "cells": int(grid.mask.size),
+        "cells": int(grid.mask_code.size),
         "unmasked": int(unmasked.sum()),
         "min_accuracy_m": float(vals.min()) if vals.size else None,
-        "median_accuracy_m": float(np.median(vals)) if vals.size else None,
+        "median_accuracy_m": float(np.median(vals, overwrite_input=True)) if vals.size else None,
     }
 
 
@@ -172,10 +178,10 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
     lon_strs = [f"{lon:.6f}" for lon in grid.lon_deg.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("lat_deg,lon_deg,accuracy_m,usable_count,mask\r\n")
-        rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask)
-        for lat, acc, cnt, msk in rows:
+        rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask_code)
+        for lat, acc, cnt, code in rows:
             pre = f"{lat:.6f},"
-            cells = zip(lon_strs, acc.tolist(), cnt.tolist(), msk.tolist())
+            cells = zip(lon_strs, acc.tolist(), cnt.tolist(), _MASK_STRINGS[code].tolist())
             f.write("".join(f"{pre}{lon},{'' if m else f'{a:.6f}'},{c},{m}\r\n" for lon, a, c, m in cells))
 
 
@@ -198,20 +204,21 @@ def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None
 
     Pixel value is ``255 * (1 - min(accuracy, clip) / clip)`` rounded
     half-up, so accuracy 0 is white (255) and anything at or beyond the
-    clip is black; masked cells are 0.
+    clip is black; masked cells are 0. Pixels are computed one row at a
+    time, so the writer holds no grid-sized temporary.
     """
     if not accuracy_clip_m > 0.0:
         raise ValueError(f"accuracy_clip_m must be > 0, got {accuracy_clip_m}")
-    unmasked = grid.mask == ""
-    clipped = np.minimum(np.where(unmasked, grid.accuracy_m, accuracy_clip_m), accuracy_clip_m)
-    pix = np.floor(255.0 * (1.0 - clipped / accuracy_clip_m) + 0.5)
-    pix = np.where(unmasked, pix, 0.0).astype(np.int64)
     with open(path, "w", encoding="ascii") as f:
         f.write("P2\n")
         f.write(f"{grid.lon_deg.size} {grid.lat_deg.size}\n")
         f.write("255\n")
         for i in range(grid.lat_deg.size - 1, -1, -1):
-            f.write(" ".join(map(str, pix[i].tolist())) + "\n")
+            unmasked = grid.mask_code[i] == 0
+            clipped = np.minimum(np.where(unmasked, grid.accuracy_m[i], accuracy_clip_m), accuracy_clip_m)
+            pix = np.floor(255.0 * (1.0 - clipped / accuracy_clip_m) + 0.5)
+            pix = np.where(unmasked, pix, 0.0).astype(np.int64)
+            f.write(" ".join(map(str, pix.tolist())) + "\n")
 
 
 def write_contour_csv(grid: CoverageGrid, path, accuracy_limit_m: float) -> None:
@@ -224,9 +231,7 @@ def write_contour_csv(grid: CoverageGrid, path, accuracy_limit_m: float) -> None
     """
     if not accuracy_limit_m > 0.0:
         raise ValueError(f"accuracy_limit_m must be > 0, got {accuracy_limit_m}")
-    inside = np.zeros(grid.mask.shape, dtype=bool)
-    sel = grid.mask == ""
-    inside[sel] = grid.accuracy_m[sel] <= accuracy_limit_m
+    inside = (grid.mask_code == 0) & (grid.accuracy_m <= accuracy_limit_m)
     padded = np.pad(inside, 1, constant_values=False)
     neighbors_all_in = (
         padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]

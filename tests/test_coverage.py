@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,10 @@ from rmodesim import (
     write_coverage_csv,
     write_coverage_pgm,
 )
-from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
+from rmodesim.accuracy import MASK_REASONS, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
 from rmodesim.config import load_config
 from rmodesim.errors import GridTooLargeError, NonpositiveSnrError
-from rmodesim.propagation import field_strength_dbuv_m
+from rmodesim.propagation import field_strength_dbuv_m, snr_db_at
 
 from helpers import destination_point
 
@@ -149,7 +150,7 @@ class TestComputeCoverage:
         grid = compute_coverage(spec, stations, params, prop, noise, -15.0)
         i = list(grid.lat_deg).index(36.0)
         j = list(grid.lon_deg).index(127.0)
-        snr_linear = 10.0 ** (grid.snr_db[0, i, j] / 10.0)
+        snr_linear = 10.0 ** (snr_db_at(stations[0], 36.0, 127.0, prop, noise) / 10.0)
         sigma = math.sqrt(22.15 ** 2 / snr_linear)
         expected = 4.0 * sigma / math.sqrt(3.0)
         assert grid.accuracy_m[i, j] == pytest.approx(expected, rel=1e-6)
@@ -164,7 +165,7 @@ class TestComputeCoverage:
             monkeypatch.setattr(coverage_module, "_BLOCK_CELLS", rows * spec.n_lon)
             for t in (1, 2, 0, 8):
                 other = compute_coverage(spec, stations, params, prop, noise, -15.0, threads=t)
-                for name in ("lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask", "snr_db"):
+                for name in ("lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask_code"):
                     a, b = getattr(base, name), getattr(other, name)
                     assert a.dtype == b.dtype and a.shape == b.shape, (name, rows, t)
                     assert a.tobytes() == b.tobytes(), (name, rows, t)
@@ -275,10 +276,12 @@ def test_point_query_matches_coverage_at_every_node(
     spec = GridSpec(-south * step, north * step, -west * step, east * step, step)
     grid = compute_coverage(spec, stations, params, prop, noise, threshold_db, threads=1)
     assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY} <= set(np.unique(grid.mask))
+    lat2, lon2 = np.meshgrid(grid.lat_deg, grid.lon_deg, indexing="ij")
+    snr_db = np.array([snr_db_at(tx, lat2, lon2, prop, noise) for tx in stations])
     for i, lat in enumerate(grid.lat_deg.tolist()):
         for j, lon in enumerate(grid.lon_deg.tolist()):
             # a station this close to the threshold may count on one path only
-            if np.any(np.abs(grid.snr_db[:, i, j] - threshold_db) < 1e-9):
+            if np.any(np.abs(snr_db[:, i, j] - threshold_db) < 1e-9):
                 continue
             point = accuracy_at(GeoPoint(lat, lon), stations, params, prop, noise, threshold_db)
             assert (point.mask_reason or "") == grid.mask[i, j], (lat, lon)
@@ -343,6 +346,21 @@ class TestCsvOutput:
                 assert count == int(grid.usable_count[i, j])
                 k += 1
 
+    def test_count_of_300_stations_does_not_wrap(self, tmp_path):
+        # more stations than an 8-bit count holds, all of them heard everywhere
+        stations = []
+        for i in range(300):
+            lat, lon = destination_point(36.0, 127.0, math.radians(1.2 * i), 200_000.0)
+            stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3, 0.0))
+        params = ModelParams({tx.station_id: 1.0 for tx in stations}, 22.15)
+        _, _, prop, noise = scenario()
+        spec = GridSpec(35.875, 36.125, 126.875, 127.125, 0.25)
+        grid = compute_coverage(spec, stations, params, prop, noise, -15.0)
+        path = tmp_path / "cov.csv"
+        write_coverage_csv(grid, path)
+        rows = read_coverage_csv(path)
+        assert [(r[3], r[4]) for r in rows] == [(300, "")] * 4
+
     def test_write_is_deterministic(self, tmp_path):
         stations, params, prop, noise = scenario()
         spec = GridSpec(35.5, 36.5, 126.5, 127.5, 0.25)
@@ -403,18 +421,17 @@ def negative_coordinate_grid():
     rng = np.random.default_rng(7)
     spec = GridSpec(-0.5, 0.2, -73.25, -72.0, 0.05)
     shape = (spec.n_lat, spec.n_lon)
-    mask = rng.choice(["", "", "", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY], size=shape)
-    accuracy = np.where(mask == "", 10.0 ** rng.uniform(-7, 5, size=shape), np.nan)
+    mask_code = rng.choice(np.array([0, 0, 0, 1, 2], dtype=np.int8), size=shape)
+    accuracy = np.where(mask_code == 0, 10.0 ** rng.uniform(-7, 5, size=shape), np.nan)
     accuracy[0, :3] = [2.5e-7, 1234.0000005, 0.0]
     return CoverageGrid(
         spec=spec,
         lat_deg=spec.lat_values(),
         lon_deg=spec.lon_values(),
         accuracy_m=accuracy,
-        usable_count=rng.integers(0, 4, size=shape),
-        mask=mask.astype("<U16"),
+        usable_count=rng.integers(0, 4, size=shape).astype(np.uint8),
+        mask_code=mask_code,
         station_ids=["s0"],
-        snr_db=np.zeros((1,) + shape),
     )
 
 
@@ -454,10 +471,9 @@ def handcrafted_grid():
         lat_deg=spec.lat_values(),
         lon_deg=spec.lon_values(),
         accuracy_m=np.array([[0.0, 5.0], [np.nan, 20.0]]),
-        usable_count=np.array([[3, 3], [1, 3]]),
-        mask=np.array([["", ""], [MASK_TOO_FEW_STATIONS, ""]]),
+        usable_count=np.array([[3, 3], [1, 3]], dtype=np.uint8),
+        mask_code=np.array([[0, 0], [MASK_REASONS.index(MASK_TOO_FEW_STATIONS), 0]], dtype=np.int8),
         station_ids=["s0"],
-        snr_db=np.zeros((1, 2, 2)),
     )
 
 
@@ -475,7 +491,7 @@ class TestPgmOutput:
 
     def test_all_masked_is_all_zero(self, tmp_path):
         grid = handcrafted_grid()
-        grid.mask = np.array([[MASK_TOO_FEW_STATIONS] * 2] * 2)
+        grid.mask_code = np.full((2, 2), MASK_REASONS.index(MASK_TOO_FEW_STATIONS), dtype=np.int8)
         grid.accuracy_m = np.full((2, 2), np.nan)
         path = tmp_path / "map.pgm"
         write_coverage_pgm(grid, path, accuracy_clip_m=10.0)
@@ -485,6 +501,37 @@ class TestPgmOutput:
     def test_clip_validation(self, tmp_path):
         with pytest.raises(ValueError):
             write_coverage_pgm(handcrafted_grid(), tmp_path / "x.pgm", 0.0)
+
+
+class TestMemory:
+    """A coverage map costs about 10 B/cell: no per-station SNR, no string
+    masks and no grid-sized temporaries in the PGM writer."""
+
+    def grid(self):
+        stations, params, prop, _ = scenario()
+        spec = GridSpec(34.5, 37.5, 125.5, 128.5, 0.01)
+        assert (spec.n_lat, spec.n_lon) == (301, 301)
+        grid = compute_coverage(spec, stations, params, prop, NoiseSpec(level_dbuv_m=62.0), -15.0)
+        assert (grid.mask == "").any() and (grid.mask != "").any()
+        return grid
+
+    def test_grid_arrays_at_most_12_bytes_per_cell(self):
+        grid = self.grid()
+        cells = grid.accuracy_m.size
+        held = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
+        assert held <= 12 * cells
+
+    def test_pgm_writer_holds_one_row(self, tmp_path):
+        grid = self.grid()
+        tracemalloc.start()
+        try:
+            write_coverage_pgm(grid, tmp_path / "map.pgm", 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a row's float temporaries and its pixel strings, at most ~100 B each
+        cells, one_row = grid.accuracy_m.size, 100 * grid.lon_deg.size
+        assert peak < cells + one_row
 
 
 class TestContour:
@@ -497,10 +544,9 @@ class TestContour:
             lat_deg=spec.lat_values(),
             lon_deg=spec.lon_values(),
             accuracy_m=acc,
-            usable_count=np.full((5, 5), 3),
-            mask=np.full((5, 5), "", dtype="<U16"),
+            usable_count=np.full((5, 5), 3, dtype=np.uint8),
+            mask_code=np.zeros((5, 5), dtype=np.int8),
             station_ids=["s0"],
-            snr_db=np.zeros((1, 5, 5)),
         )
         path = tmp_path / "contour.csv"
         write_contour_csv(grid, path, accuracy_limit_m=10.0)
