@@ -54,10 +54,10 @@ class VarianceSample:
     toa_var_m2: float
 
     def __post_init__(self):
-        if not self.snr_linear > 0.0:
-            raise ValueError(f"snr_linear must be > 0, got {self.snr_linear}")
-        if self.toa_var_m2 < 0.0:
-            raise ValueError(f"toa_var_m2 must be >= 0, got {self.toa_var_m2}")
+        if not (math.isfinite(self.snr_linear) and self.snr_linear > 0.0):
+            raise ValueError(f"snr_linear must be finite and > 0, got {self.snr_linear}")
+        if not (math.isfinite(self.toa_var_m2) and self.toa_var_m2 >= 0.0):
+            raise ValueError(f"toa_var_m2 must be finite and >= 0, got {self.toa_var_m2}")
 
 
 def parse_measurement_file(path) -> list[StationLog]:
@@ -167,7 +167,8 @@ def window_variance(
     uses denominator n-2. Off by default.
 
     The log must be time-sorted. Raises InsufficientDataError when it
-    holds fewer than ``window_len`` records.
+    holds fewer than ``window_len`` records and ValueError, naming the
+    window, when a mean SNR overflows the linear ratio (above ~3,083 dB).
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
@@ -201,7 +202,11 @@ def window_variance(
     scale = (wavelength_m / TWO_PI) ** 2
     # the dB -> linear power stays on Python floats: numpy's vectorised pow
     # can differ from the scalar one in the last bit
-    return [
-        VarianceSample(log.station_id, 10.0 ** (m / 10.0), scale * v)
-        for m, v in zip(mean_db, var)
-    ]
+    try:
+        return [VarianceSample(log.station_id, 10.0 ** (m / 10.0), scale * v) for m, v in zip(mean_db, var)]
+    except OverflowError:
+        i = int(np.argmax(mean_db))
+        raise ValueError(
+            f"station {log.station_id!r} window {i + 1} of {n_windows}: mean snr_db {mean_db[i]} "
+            "is too large for a linear power ratio"
+        ) from None

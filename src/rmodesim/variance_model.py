@@ -12,8 +12,9 @@ problem solved exactly by an active-set method.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,10 +37,10 @@ class ModelParams:
 
     def __post_init__(self):
         for sid, j in self.jitter_m.items():
-            if j < 0.0:
-                raise ValueError(f"jitter_m[{sid!r}] must be >= 0, got {j}")
-        if self.c_m < 0.0:
-            raise ValueError(f"c_m must be >= 0, got {self.c_m}")
+            if not (math.isfinite(j) and j >= 0.0):
+                raise ValueError(f"jitter_m[{sid!r}] must be finite and >= 0, got {j}")
+        if not (math.isfinite(self.c_m) and self.c_m >= 0.0):
+            raise ValueError(f"c_m must be finite and >= 0, got {self.c_m}")
 
 
 @dataclass(frozen=True)
@@ -80,23 +81,8 @@ def residual_rss(params: ModelParams, samples: Sequence[VarianceSample]) -> floa
     )
 
 
-def _trim_symmetric(rows: list[tuple[VarianceSample, float]], fraction: float):
-    """Drop the lowest and highest ``fraction/2`` of each station's variances."""
-    by_station: dict[str, list[tuple[VarianceSample, float]]] = {}
-    for row in rows:
-        by_station.setdefault(row[0].station_id, []).append(row)
-    kept = []
-    for sid in sorted(by_station):
-        group = sorted(by_station[sid], key=lambda r: r[0].toa_var_m2)
-        k = int(len(group) * fraction / 2.0)
-        kept.extend(group[k : len(group) - k] if k else group)
-    return kept
-
-
 def fit_params(
-    samples: Sequence[VarianceSample],
-    trim_fraction: float = 0.0,
-    weights: Sequence[float] | None = None,
+    samples: Iterable[VarianceSample], trim_fraction: float = 0.0
 ) -> tuple[ModelParams, FitReport]:
     """Estimate per-station jitter and the shared constant from samples.
 
@@ -110,12 +96,12 @@ def fit_params(
 
     ``trim_fraction`` symmetrically drops that fraction of each station's
     most extreme variance samples before fitting (off by default; useful
-    against interference bursts). ``weights`` optionally weights each
-    (untrimmed) sample's squared residual; it must match ``samples`` in
-    length and be positive.
+    against interference bursts): ``k = int(n * trim_fraction / 2)`` from
+    each end of the station's samples ordered by variance, with equal
+    variances ordered by SNR.
 
-    The fit is unweighted by default, deterministic, and invariant to
-    sample order (rows are canonicalized internally).
+    The fit is unweighted, deterministic, and invariant to sample order:
+    the design rows are ordered by station, SNR and variance.
 
     Raises InsufficientSamplesError when any station has fewer than two
     samples (or there are none at all) and DegenerateDesignError when a
@@ -124,67 +110,53 @@ def fit_params(
     """
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError(f"trim_fraction must be in [0, 1), got {trim_fraction}")
-    samples = list(samples)
-    if weights is None:
-        rows = [(s, 1.0) for s in samples]
-    else:
-        if len(weights) != len(samples):
-            raise ValueError("weights length must match samples")
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("weights must be positive")
-        rows = [(s, float(w)) for s, w in zip(samples, weights)]
-    if not rows:
+    fields = [(s.station_id, s.snr_linear, s.toa_var_m2) for s in samples]
+    if not fields:
         raise InsufficientSamplesError("no variance samples")
+    ids, snr, var = zip(*fields)
+    station_ids, st = np.unique(np.array(ids, dtype=object), return_inverse=True)
+    station_ids = station_ids.tolist()
+    snr, var = np.array(snr, dtype=float), np.array(var, dtype=float)
+    n_before = st.size
 
-    n_before = len(rows)
-    if trim_fraction > 0.0:
-        rows = _trim_symmetric(rows, trim_fraction)
+    # trim: rank each row within its station by (variance, SNR)
+    order = np.lexsort((snr, var, st))
+    counts = np.bincount(st)
+    k = (counts * trim_fraction / 2.0).astype(int)
+    by_row = st[order]
+    rank = np.arange(n_before) - (np.cumsum(counts) - counts)[by_row]
+    keep = order[(rank >= k[by_row]) & (rank < (counts - k)[by_row])]
+    # canonical row order makes the fit independent of input ordering
+    keep = keep[np.lexsort((var[keep], snr[keep], st[keep]))]
+    st, snr, var = st[keep], snr[keep], var[keep]
 
-    station_ids = sorted({s.station_id for s, _ in rows})
-    col = {sid: i for i, sid in enumerate(station_ids)}
-    for sid in station_ids:
-        group = [s for s, _ in rows if s.station_id == sid]
-        if len(group) < 2:
-            raise InsufficientSamplesError(
-                f"station {sid!r} has {len(group)} samples after trimming, need >= 2"
-            )
-        if len({s.snr_linear for s in group}) < 2:
+    counts = np.bincount(st)
+    new_snr = np.ones(st.size, dtype=bool)
+    new_snr[1:] = (st[1:] != st[:-1]) | (snr[1:] != snr[:-1])
+    distinct_snr = np.bincount(st[new_snr])
+    for sid, n, n_snr in zip(station_ids, counts.tolist(), distinct_snr.tolist()):
+        if n < 2:
+            raise InsufficientSamplesError(f"station {sid!r} has {n} samples after trimming, need >= 2")
+        if n_snr < 2:
             raise DegenerateDesignError(
                 f"station {sid!r} samples share one SNR value; jitter and the "
                 "shared constant are not separately identifiable"
             )
 
-    # canonical row order makes the fit independent of input ordering
-    rows.sort(key=lambda r: (col[r[0].station_id], r[0].snr_linear, r[0].toa_var_m2, r[1]))
-    n_s = len(station_ids)
-    a = np.zeros((len(rows), n_s + 1))
-    y = np.empty(len(rows))
-    for i, (s, _) in enumerate(rows):
-        a[i, col[s.station_id]] = 1.0
-        a[i, n_s] = 1.0 / s.snr_linear
-        y[i] = s.toa_var_m2
-    if weights is not None:
-        sw = np.sqrt([w for _, w in rows])
-        a *= sw[:, None]
-        y *= sw
+    a = np.zeros((st.size, len(station_ids) + 1))
+    a[np.arange(st.size), st] = 1.0
+    a[:, -1] = 1.0 / snr
+    coeffs, _ = nnls(a, var)
+    jitter = np.sqrt(coeffs[:-1])
+    params = ModelParams(jitter_m=dict(zip(station_ids, jitter.tolist())), c_m=float(np.sqrt(coeffs[-1])))
 
-    coeffs, _ = nnls(a, y)
-    params = ModelParams(
-        jitter_m={sid: float(np.sqrt(coeffs[col[sid]])) for sid in station_ids},
-        c_m=float(np.sqrt(coeffs[n_s])),
-    )
-
-    n_samples = {sid: 0 for sid in station_ids}
-    rss_by_station = {sid: 0.0 for sid in station_ids}
-    for s, _ in rows:
-        n_samples[s.station_id] += 1
-        r = s.toa_var_m2 - predict_sigma2(params, s.station_id, s.snr_linear)
-        rss_by_station[s.station_id] += r * r
+    r = var - toa_variance_m2(jitter[st], params.c_m, snr)
+    rss_by_station = dict(zip(station_ids, np.bincount(st, weights=r * r).tolist()))
     report = FitReport(
         rss_m4=float(sum(rss_by_station.values())),
-        n_samples=n_samples,
+        n_samples=dict(zip(station_ids, counts.tolist())),
         rss_by_station=rss_by_station,
-        n_trimmed=n_before - len(rows),
+        n_trimmed=n_before - st.size,
     )
     return params, report
 

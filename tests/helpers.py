@@ -181,3 +181,74 @@ def subprocess_env():
         entries.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(entries)
     return env
+
+
+def loop_fit_params(samples, trim_fraction=0.0):
+    """``fit_params`` as one Python loop per sample, kept as a reference.
+
+    Trims each station by a stable sort on variance alone, then fits in the
+    canonical (station, SNR, variance) row order. On inputs whose variances
+    are distinct within each station it must agree with ``fit_params`` bit
+    for bit, errors included.
+    """
+    from rmodesim import FitReport, ModelParams, predict_sigma2
+    from rmodesim.errors import DegenerateDesignError, InsufficientSamplesError
+    from rmodesim.nnls import nnls
+
+    if not 0.0 <= trim_fraction < 1.0:
+        raise ValueError(f"trim_fraction must be in [0, 1), got {trim_fraction}")
+    rows = list(samples)
+    if not rows:
+        raise InsufficientSamplesError("no variance samples")
+    n_before = len(rows)
+    if trim_fraction > 0.0:
+        by_station = {}
+        for s in rows:
+            by_station.setdefault(s.station_id, []).append(s)
+        rows = []
+        for sid in sorted(by_station):
+            group = sorted(by_station[sid], key=lambda s: s.toa_var_m2)
+            k = int(len(group) * trim_fraction / 2.0)
+            rows.extend(group[k : len(group) - k] if k else group)
+
+    station_ids = sorted({s.station_id for s in rows})
+    col = {sid: i for i, sid in enumerate(station_ids)}
+    for sid in station_ids:
+        group = [s for s in rows if s.station_id == sid]
+        if len(group) < 2:
+            raise InsufficientSamplesError(
+                f"station {sid!r} has {len(group)} samples after trimming, need >= 2"
+            )
+        if len({s.snr_linear for s in group}) < 2:
+            raise DegenerateDesignError(
+                f"station {sid!r} samples share one SNR value; jitter and the "
+                "shared constant are not separately identifiable"
+            )
+
+    rows.sort(key=lambda s: (col[s.station_id], s.snr_linear, s.toa_var_m2))
+    n_s = len(station_ids)
+    a = np.zeros((len(rows), n_s + 1))
+    y = np.empty(len(rows))
+    for i, s in enumerate(rows):
+        a[i, col[s.station_id]] = 1.0
+        a[i, n_s] = 1.0 / s.snr_linear
+        y[i] = s.toa_var_m2
+    coeffs, _ = nnls(a, y)
+    params = ModelParams(
+        jitter_m={sid: float(np.sqrt(coeffs[col[sid]])) for sid in station_ids},
+        c_m=float(np.sqrt(coeffs[n_s])),
+    )
+
+    n_samples = {sid: 0 for sid in station_ids}
+    rss_by_station = {sid: 0.0 for sid in station_ids}
+    for s in rows:
+        n_samples[s.station_id] += 1
+        r = s.toa_var_m2 - predict_sigma2(params, s.station_id, s.snr_linear)
+        rss_by_station[s.station_id] += r * r
+    report = FitReport(
+        rss_m4=float(sum(rss_by_station.values())),
+        n_samples=n_samples,
+        rss_by_station=rss_by_station,
+        n_trimmed=n_before - len(rows),
+    )
+    return params, report

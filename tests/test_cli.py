@@ -137,6 +137,20 @@ class TestFit:
         assert "converge" in err and "Traceback" not in err
         assert not (tmp_path / "fitted_params.yaml").exists()
 
+    def test_snr_beyond_float_range_exit_2(self, config_factory, tmp_path, capsys):
+        # 10^(4000/10) overflows a float: the first window is named, no traceback
+        config = config_factory()
+        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
+            "--noise", "none", "--windows", "5")
+        log = tmp_path / "logs" / "s0.csv"
+        lines = log.read_text().splitlines()
+        lines[1:101] = [line.rsplit(",", 1)[0] + ",4000.0" for line in lines[1:101]]
+        log.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "fit", "--config", str(config), str(log))
+        assert code == 2
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert "'s0' window 1 of 5" in err and "Traceback" not in err
+
     def test_csv_format(self, config_factory, tmp_path, capsys):
         config = config_factory()
         run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),

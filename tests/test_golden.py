@@ -70,6 +70,14 @@ DIGESTS = {
     "fit-gauss-linear/fit-stdout-csv": "596ad205c4d8aa75f55c5bf65b718e0bb0e3514f7438748505ea6ed0839f0795",
     "fit-gauss-linear/out/fit_report.csv": "a89b1bd3c612fe65fdd1e7571d34b48c5af1d6d96fad1cb02ed305664be38208",
     "fit-gauss-linear/out/fitted_params.yaml": "d42d42aa217535f0dd2e3078240124d708976842f11f902ca5121f23330ab1bf",
+    "fit-gauss-trim/synth-stdout": "596d74cb9b68a631d777771e1c4cbf389a0a45f17a7372787a1f8bd33ccc8ff6",
+    "fit-gauss-trim/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
+    "fit-gauss-trim/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
+    "fit-gauss-trim/logs/palmi.csv": "c76a6c09c15839983e66b3ec96280de5b9e1cdd18f1618df763e850e4c39a61b",
+    "fit-gauss-trim/fit-stdout-text": "dd65be913ed27cb7b31099d1aa30c659b4d23fb6ef12a81f6452091d2b2dba24",
+    "fit-gauss-trim/fit-stdout-csv": "207eb7d3cad44219b852e1fe5429d420be848dff52939cd12fcec283ca231685",
+    "fit-gauss-trim/out/fit_report.csv": "50a8329135d5429bf8d4775ab44fe04120ae34f38179428c049d1655ef3d453c",
+    "fit-gauss-trim/out/fitted_params.yaml": "619e35c791951571230f895be938487bf290f5d7935f08601f7620934ac46657",
     "fit-none/synth-stdout": "596d74cb9b68a631d777771e1c4cbf389a0a45f17a7372787a1f8bd33ccc8ff6",
     "fit-none/logs/chungju.csv": "605d1325c2e8b2682eb60a3e852ffdbb923cc6226f2fafd108a4a4d03005b878",
     "fit-none/logs/eocheong.csv": "c48c22505fb84fb938621e20f0f6aba50370dfb76552bede2696d33d894cf1a5",
@@ -104,11 +112,12 @@ def _shipped(run_dir: Path, mutate=None) -> Path:
     return path
 
 
-def _fit_case(run_dir: Path, noise: str, detrend: str = "none") -> dict[str, bytes]:
+def _fit_case(run_dir: Path, noise: str, detrend: str = "none", trim_fraction: float = 0.0) -> dict[str, bytes]:
     """``synth`` seeded logs from the shipped config, then ``fit`` them."""
 
     def mutate(cfg):
         cfg["fit"]["detrend"] = detrend
+        cfg["fit"]["trim_fraction"] = trim_fraction
 
     config = _shipped(run_dir, mutate)
     logs = run_dir / "logs"
@@ -217,6 +226,7 @@ CASES = {
     "fit-none": lambda d: _fit_case(d, "none"),
     "fit-gauss": lambda d: _fit_case(d, "gauss"),
     "fit-gauss-linear": lambda d: _fit_case(d, "gauss", detrend="linear"),
+    "fit-gauss-trim": lambda d: _fit_case(d, "gauss", trim_fraction=0.1),
     "coverage-shipped": lambda d: _coverage_outputs(d, _shipped(d)),
     "coverage-masks": _coverage_masks_case,
     "coverage-lattice": _coverage_lattice_case,

@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmodesim import (
     ModelParams,
@@ -19,7 +22,7 @@ from rmodesim.errors import (
     UnknownStationError,
 )
 
-from helpers import grid_search_single_station
+from helpers import grid_search_single_station, loop_fit_params
 
 
 def make_samples(jitter_by_station, c_m, snr_values, noise=None):
@@ -69,6 +72,17 @@ class TestPredict:
             ModelParams({"s": -0.1}, 1.0)
         with pytest.raises(ValueError):
             ModelParams({"s": 0.1}, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        for make in (
+            lambda: ModelParams({"s": bad}, 1.0),
+            lambda: ModelParams({"s": 0.1}, bad),
+            lambda: VarianceSample("s", bad, 1.0),
+            lambda: VarianceSample("s", 10.0, bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
 
 
 class TestFit:
@@ -205,17 +219,49 @@ class TestFit:
         assert abs(trimmed.c_m - 10.0) < 0.05
         assert abs(raw.c_m - 10.0) > abs(trimmed.c_m - 10.0)
 
-    def test_weights_downweight_outliers(self):
-        snrs = np.linspace(1.0, 500.0, 100)
-        samples = make_samples({"s": 1.0}, 10.0, snrs)
-        samples[5] = VarianceSample("s", samples[5].snr_linear, 1e4)
-        weights = [1e-12 if i == 5 else 1.0 for i in range(len(samples))]
-        params, _ = fit_params(samples, weights=weights)
-        assert params.c_m == pytest.approx(10.0, rel=1e-4)
-        with pytest.raises(ValueError):
-            fit_params(samples, weights=[1.0])
-        with pytest.raises(ValueError):
-            fit_params(samples, weights=[0.0] * len(samples))
+    def test_trim_breaks_variance_ties_by_snr(self):
+        # two bursts and two too-clean samples share one variance each, so
+        # the trim boundary falls inside a tie whatever the input order
+        samples = [VarianceSample("s", x, 1.0 + 100.0 / x) for x in np.arange(2.0, 40.0).tolist()]
+        samples += [VarianceSample("s", 1.5, 500.0), VarianceSample("s", 50.0, 500.0)]
+        samples += [VarianceSample("s", 3.5, 0.5), VarianceSample("s", 70.0, 0.5)]
+        rng = np.random.default_rng(15)
+        fits = set()
+        for _ in range(50):
+            rng.shuffle(samples)
+            params, report = fit_params(samples, trim_fraction=0.05)
+            fits.add(repr((params, report)))
+        assert len(fits) == 1
+        # the lower SNR of each tie sorts first, so the trim drops (3.5, 0.5)
+        # and (50, 500) and keeps the other two
+        kept = [s for s in samples if (s.snr_linear, s.toa_var_m2) not in {(3.5, 0.5), (50.0, 500.0)}]
+        params, report = fit_params(kept)
+        assert fits == {repr((params, dataclasses.replace(report, n_trimmed=2)))}
+
+
+def _outcome(fit, samples, trim_fraction):
+    try:
+        return repr(fit(samples, trim_fraction=trim_fraction))
+    except (InsufficientSamplesError, DegenerateDesignError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def tie_free_samples(draw):
+    """1-4 stations of samples whose variances are distinct within each station."""
+    samples = []
+    for sid in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)):
+        n = draw(st.integers(1, 40))
+        snrs = draw(st.lists(st.sampled_from([1.0, 2.5, 40.0]) | st.floats(0.5, 1e3), min_size=n, max_size=n))
+        variances = draw(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n, unique=True))
+        samples += [VarianceSample(sid, x, v + 0.0) for x, v in zip(snrs, variances)]
+    return draw(st.permutations(samples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_free_samples(), st.floats(0.0, 0.9))
+def test_fit_matches_loop_reference_bit_for_bit(samples, trim_fraction):
+    assert _outcome(fit_params, samples, trim_fraction) == _outcome(loop_fit_params, samples, trim_fraction)
 
 
 class TestResidualRss:
