@@ -8,13 +8,13 @@ scaled by (wavelength / 2*pi)^2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientDataError, ParseError
+from ._table import read_table
+from .errors import EmptyInputError, InsufficientDataError
 
 MEASUREMENT_COLUMNS = ("timestamp", "station_id", "phase_rad", "snr_db")
 LOG_COLUMNS = ("timestamp", "phase_rad", "snr_db")
@@ -74,47 +74,7 @@ def parse_measurement_file(path) -> list[StationLog]:
     header, non-numeric fields, missing columns, or a timestamp that
     does not increase.
     """
-    columns: dict[str, tuple[list[float], list[float], list[float]]] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        header = None
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = tuple(c.strip() for c in row)
-                if header != MEASUREMENT_COLUMNS:
-                    raise ParseError(
-                        lineno, f"expected header {','.join(MEASUREMENT_COLUMNS)}"
-                    )
-                continue
-            if len(row) != len(MEASUREMENT_COLUMNS):
-                raise ParseError(
-                    lineno, f"expected {len(MEASUREMENT_COLUMNS)} fields, got {len(row)}"
-                )
-            t_str, station_id, phase_str, snr_str = (c.strip() for c in row)
-            if not station_id:
-                raise ParseError(lineno, "empty station_id")
-            try:
-                t = float(t_str)
-                phase = float(phase_str)
-                snr = float(snr_str)
-            except ValueError as exc:
-                raise ParseError(lineno, f"non-numeric field: {exc}") from None
-            if not (math.isfinite(t) and math.isfinite(phase) and math.isfinite(snr)):
-                raise ParseError(lineno, "non-finite field")
-            cols = columns.get(station_id)
-            if cols is None:
-                cols = columns[station_id] = ([], [], [])
-            elif t <= cols[0][-1]:
-                raise ParseError(
-                    lineno, f"timestamp {t} not increasing for station {station_id}"
-                )
-            cols[0].append(t)
-            cols[1].append(phase)
-            cols[2].append(snr)
-        if header is None:
-            raise ParseError(1, "empty file, missing header")
-    return [StationLog(sid, *cols) for sid, cols in columns.items()]
+    return [StationLog(sid, *cols) for sid, cols in read_table(path, MEASUREMENT_COLUMNS).items()]
 
 
 def group_by_station(logs) -> dict[str, StationLog]:
@@ -168,7 +128,8 @@ def window_variance(
 
     The log must be time-sorted. Raises InsufficientDataError when it
     holds fewer than ``window_len`` records and ValueError, naming the
-    window, when a mean SNR overflows the linear ratio (above ~3,083 dB).
+    window, when a mean SNR overflows the linear ratio (above ~3,083 dB)
+    or underflows it to zero (below ~-3,240 dB).
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
@@ -203,10 +164,14 @@ def window_variance(
     # the dB -> linear power stays on Python floats: numpy's vectorised pow
     # can differ from the scalar one in the last bit
     try:
-        return [VarianceSample(log.station_id, 10.0 ** (m / 10.0), scale * v) for m, v in zip(mean_db, var)]
+        snr = [10.0 ** (m / 10.0) for m in mean_db]
     except OverflowError:
-        i = int(np.argmax(mean_db))
-        raise ValueError(
-            f"station {log.station_id!r} window {i + 1} of {n_windows}: mean snr_db {mean_db[i]} "
-            "is too large for a linear power ratio"
-        ) from None
+        i, size = int(np.argmax(mean_db)), "large"
+    else:
+        if 0.0 not in snr:
+            return [VarianceSample(log.station_id, s, scale * v) for s, v in zip(snr, var)]
+        i, size = snr.index(0.0), "small"
+    raise ValueError(
+        f"station {log.station_id!r} window {i + 1} of {n_windows}: mean snr_db {mean_db[i]} "
+        f"is too {size} for a linear power ratio"
+    )

@@ -16,15 +16,13 @@ dB(uV/m), tagged with the season label and percentile it represents.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
+from ._table import read_table
 from .errors import (
-    ParseError,
     NonMonotonicAxesError,
     OutOfGridBoundsError,
     ZeroDistanceError,
@@ -215,47 +213,20 @@ def load_field_grid(path) -> FieldGrid:
     NonMonotonicAxesError on axis-order violations, and ValueError on an
     incomplete lattice.
     """
-    lats: list[float] = []
-    lons: list[float] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        header = None
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = tuple(c.strip() for c in row)
-                if header != GRID_COLUMNS:
-                    raise ParseError(
-                        lineno, f"expected header {','.join(GRID_COLUMNS)}"
-                    )
-                continue
-            if len(row) != 3:
-                raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
-            try:
-                lat, lon, val = float(row[0]), float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ParseError(lineno, f"non-numeric field: {exc}") from None
-            if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(val)):
-                raise ParseError(lineno, "non-finite field")
-            lats.append(lat)
-            lons.append(lon)
-            values.append(val)
-    if header is None:
-        raise ParseError(1, "empty file, missing header")
-    if not lats:
+    groups = read_table(path, GRID_COLUMNS)
+    if not groups:
         raise ValueError("grid file has no data rows")
-
+    lats, lons, values = groups[""]
     lat_axis = np.unique(lats)
     lon_axis = np.unique(lons)
     n_lat, n_lon = lat_axis.size, lon_axis.size
-    if len(lats) != n_lat * n_lon:
-        raise ValueError(f"incomplete lattice: {len(lats)} rows for a {n_lat}x{n_lon} grid")
+    if lats.size != n_lat * n_lon:
+        raise ValueError(f"incomplete lattice: {lats.size} rows for a {n_lat}x{n_lon} grid")
     if not (np.array_equal(lats, np.repeat(lat_axis, n_lon)) and np.array_equal(lons, np.tile(lon_axis, n_lat))):
         raise NonMonotonicAxesError(
             "rows must be lat-major with both axes strictly increasing"
         )
-    return FieldGrid(lat_axis, lon_axis, np.array(values).reshape(n_lat, n_lon))
+    return FieldGrid(lat_axis, lon_axis, values.reshape(n_lat, n_lon))
 
 
 def write_field_grid(grid: FieldGrid, path) -> None:

@@ -6,6 +6,7 @@ calling the code under test.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from pathlib import Path
@@ -252,3 +253,105 @@ def loop_fit_params(samples, trim_fraction=0.0):
         n_trimmed=n_before - len(rows),
     )
     return params, report
+
+
+def loop_parse_measurement_file(path):
+    """``parse_measurement_file`` as one csv.reader loop per row, kept as a reference.
+
+    Must agree with ``parse_measurement_file`` bit for bit on every file,
+    errors included (same type, message and row).
+    """
+    from rmodesim.errors import ParseError
+    from rmodesim.ingest import MEASUREMENT_COLUMNS, StationLog
+
+    columns = {}
+    with open(path, newline="", encoding="utf-8") as f:
+        header = None
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if not row or (row[0].lstrip().startswith("#")):
+                continue
+            if header is None:
+                header = tuple(c.strip() for c in row)
+                if header != MEASUREMENT_COLUMNS:
+                    raise ParseError(
+                        lineno, f"expected header {','.join(MEASUREMENT_COLUMNS)}"
+                    )
+                continue
+            if len(row) != len(MEASUREMENT_COLUMNS):
+                raise ParseError(
+                    lineno, f"expected {len(MEASUREMENT_COLUMNS)} fields, got {len(row)}"
+                )
+            t_str, station_id, phase_str, snr_str = (c.strip() for c in row)
+            if not station_id:
+                raise ParseError(lineno, "empty station_id")
+            try:
+                t = float(t_str)
+                phase = float(phase_str)
+                snr = float(snr_str)
+            except ValueError as exc:
+                raise ParseError(lineno, f"non-numeric field: {exc}") from None
+            if not (math.isfinite(t) and math.isfinite(phase) and math.isfinite(snr)):
+                raise ParseError(lineno, "non-finite field")
+            cols = columns.get(station_id)
+            if cols is None:
+                cols = columns[station_id] = ([], [], [])
+            elif t <= cols[0][-1]:
+                raise ParseError(
+                    lineno, f"timestamp {t} not increasing for station {station_id}"
+                )
+            cols[0].append(t)
+            cols[1].append(phase)
+            cols[2].append(snr)
+        if header is None:
+            raise ParseError(1, "empty file, missing header")
+    return [StationLog(sid, *cols) for sid, cols in columns.items()]
+
+
+def loop_load_field_grid(path):
+    """``load_field_grid`` as one csv.reader loop per row, kept as a reference.
+
+    Must agree with ``load_field_grid`` bit for bit on every file, errors
+    included (same type, message and row).
+    """
+    from rmodesim.errors import NonMonotonicAxesError, ParseError
+    from rmodesim.propagation import GRID_COLUMNS, FieldGrid
+
+    lats, lons, values = [], [], []
+    with open(path, newline="", encoding="utf-8") as f:
+        header = None
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = tuple(c.strip() for c in row)
+                if header != GRID_COLUMNS:
+                    raise ParseError(
+                        lineno, f"expected header {','.join(GRID_COLUMNS)}"
+                    )
+                continue
+            if len(row) != 3:
+                raise ParseError(lineno, f"expected 3 fields, got {len(row)}")
+            try:
+                lat, lon, val = float(row[0]), float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ParseError(lineno, f"non-numeric field: {exc}") from None
+            if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(val)):
+                raise ParseError(lineno, "non-finite field")
+            lats.append(lat)
+            lons.append(lon)
+            values.append(val)
+    if header is None:
+        raise ParseError(1, "empty file, missing header")
+    if not lats:
+        raise ValueError("grid file has no data rows")
+
+    lat_axis = np.unique(lats)
+    lon_axis = np.unique(lons)
+    n_lat, n_lon = lat_axis.size, lon_axis.size
+    if len(lats) != n_lat * n_lon:
+        raise ValueError(f"incomplete lattice: {len(lats)} rows for a {n_lat}x{n_lon} grid")
+    if not (np.array_equal(lats, np.repeat(lat_axis, n_lon)) and np.array_equal(lons, np.tile(lon_axis, n_lat))):
+        raise NonMonotonicAxesError(
+            "rows must be lat-major with both axes strictly increasing"
+        )
+    return FieldGrid(lat_axis, lon_axis, np.array(values).reshape(n_lat, n_lon))

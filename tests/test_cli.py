@@ -137,19 +137,31 @@ class TestFit:
         assert "converge" in err and "Traceback" not in err
         assert not (tmp_path / "fitted_params.yaml").exists()
 
-    def test_snr_beyond_float_range_exit_2(self, config_factory, tmp_path, capsys):
-        # 10^(4000/10) overflows a float: the first window is named, no traceback
-        config = config_factory()
+    @staticmethod
+    def fit_with_first_snr(capsys, config, tmp_path, snr_db):
+        """Exit code and stderr of a fit whose first 100 records log ``snr_db``."""
         run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
             "--noise", "none", "--windows", "5")
         log = tmp_path / "logs" / "s0.csv"
         lines = log.read_text().splitlines()
-        lines[1:101] = [line.rsplit(",", 1)[0] + ",4000.0" for line in lines[1:101]]
+        lines[1:101] = [line.rsplit(",", 1)[0] + f",{snr_db}" for line in lines[1:101]]
         log.write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "fit", "--config", str(config), str(log))
+        code, _, err = run(capsys, "fit", "--config", str(config), str(log))
+        return code, err
+
+    def test_snr_beyond_float_range_exit_2(self, config_factory, tmp_path, capsys):
+        # 10^(4000/10) overflows a float: the first window is named, no traceback
+        code, err = self.fit_with_first_snr(capsys, config_factory(), tmp_path, 4000.0)
         assert code == 2
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")
         assert "'s0' window 1 of 5" in err and "Traceback" not in err
+
+    def test_snr_below_float_range_exit_2(self, config_factory, tmp_path, capsys):
+        # 10^(-4000/10) underflows to 0.0, which is no power ratio either
+        code, err = self.fit_with_first_snr(capsys, config_factory(), tmp_path, -4000.0)
+        assert code == 2
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert "'s0' window 1 of 5: mean snr_db -4000.0 is too small" in err and "Traceback" not in err
 
     def test_csv_format(self, config_factory, tmp_path, capsys):
         config = config_factory()

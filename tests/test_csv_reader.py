@@ -1,0 +1,146 @@
+"""The shared CSV table reader against the row loops it replaced.
+
+``load_field_grid`` and ``parse_measurement_file`` must return bitwise the
+arrays the old csv.reader loops (kept in ``helpers``) return, or raise the
+same exception with the same message and row, on clean files and on every
+kind of file that needs the validating row loop.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rmodesim._table
+from helpers import loop_load_field_grid, loop_parse_measurement_file
+from rmodesim import load_field_grid, parse_measurement_file
+
+GRID_HEADER = "lat_deg,lon_deg,value_dbuv_m"
+LOG_HEADER = "timestamp,station_id,phase_rad,snr_db"
+
+MUTATIONS = (
+    "comment",
+    "blank",
+    "spaces",
+    "quote",
+    "pad",
+    "pad_station",
+    "underscore",
+    "nan",
+    "inf",
+    "short",
+    "long",
+    "repeat_timestamp",
+    "empty_station",
+    "separator_pad",
+    "nul",
+)
+
+
+def lattice_rows(rng):
+    n_lat, n_lon = rng.integers(2, 5, size=2)
+    lat = np.cumsum(rng.uniform(0.01, 1.0, n_lat)) - 40.0
+    lon = np.cumsum(rng.uniform(0.01, 1.0, n_lon)) + 120.0
+    values = rng.normal(60.0, 20.0, (n_lat, n_lon))
+    return [[repr(a), repr(b), repr(v)] for a, row in zip(lat.tolist(), values.tolist()) for b, v in zip(lon.tolist(), row)]
+
+
+def log_rows(rng):
+    stations = ["eocheong", "palmi", "chungju"][: rng.integers(1, 4)]
+    rows, clock = [], {}
+    for sid in rng.choice(stations, size=rng.integers(1, 12)).tolist():
+        clock[sid] = clock.get(sid, 0.0) + float(rng.uniform(0.05, 2.0))
+        rows.append([repr(clock[sid]), sid, repr(float(rng.uniform(-np.pi, np.pi))), repr(float(rng.normal(15.0, 10.0)))])
+    return rows
+
+
+def mutate(rng, rows, mutation):
+    """Apply ``mutation`` to the field lists ``rows``; return a line to insert, if any."""
+    r = int(rng.integers(len(rows)))
+    row = rows[r]
+    c = int(rng.integers(len(row)))
+    if mutation == "quote":
+        row[c] = f'"{row[c]}"'
+    elif mutation == "pad":
+        row[c] = f"  {row[c]} "
+    elif mutation == "pad_station" and len(row) == 4:
+        row[1] = f" {row[1]}\t"
+    elif mutation in ("underscore", "nan", "inf"):
+        row[c] = {"underscore": "1_0", "nan": "nan", "inf": ["inf", "-inf", "Infinity"][r % 3]}[mutation]
+    elif mutation == "short":
+        row.pop()
+    elif mutation == "long":
+        row.append("1.0")
+    elif mutation == "repeat_timestamp" and len(row) == 4:
+        earlier = [i for i in range(r) if rows[i][1] == row[1]]
+        if earlier:
+            row[0] = rows[earlier[-1]][0]
+    elif mutation == "empty_station" and len(row) == 4:
+        row[1] = ""
+    elif mutation == "separator_pad":
+        row[c] = f"{row[c]}\x1c"
+    elif mutation == "nul":
+        row[c] = f"{row[c]}\0"
+    return {"comment": "# a comment", "blank": "", "spaces": "   "}.get(mutation)
+
+
+def outcome(read, path):
+    """What ``read`` makes of ``path``: its arrays' bytes, or its error."""
+    try:
+        result = read(path)
+    except Exception as exc:  # any exception is compared, not only the expected ones
+        return ("raised", type(exc), str(exc), getattr(exc, "row", None))
+    if isinstance(result, list):
+        return [(log.station_id, *(getattr(log, c).tobytes() for c in ("timestamp", "phase_rad", "snr_db"))) for log in result]
+    return [a.tobytes() + str(a.shape).encode() for a in (result.lat_deg, result.lon_deg, result.values_dbuv_m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["lattice", "log"]),
+    mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_reader_matches_row_loop(tmp_path_factory, seed, kind, mutations, newline):
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        header, rows, read, reference = GRID_HEADER, lattice_rows(rng), load_field_grid, loop_load_field_grid
+    else:
+        header, rows, read, reference = LOG_HEADER, log_rows(rng), parse_measurement_file, loop_parse_measurement_file
+    extra = [mutate(rng, rows, mutation) for mutation in mutations]
+    lines = [header] + [",".join(fields) for fields in rows]
+    for line in extra:
+        if line is not None:
+            # anywhere, before the header included
+            lines.insert(int(rng.integers(len(lines) + 1)), line)
+    path = tmp_path_factory.mktemp("table") / f"{kind}.csv"
+    path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+    assert outcome(read, path) == outcome(reference, path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_clean_files_skip_the_row_loop(tmp_path, monkeypatch, newline):
+    # padded numbers and either line ending stay on numpy's parser
+    def row_loop(path, columns):
+        raise AssertionError(f"{path} went to the row loop")
+
+    monkeypatch.setattr(rmodesim._table, "_read_rows", row_loop)
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(newline.join([GRID_HEADER, "0.0,0.0, 1.0", "0.0,1.0,2.0", "1.0,0.0,3.0 ", "1.0,1.0,4.0", ""]).encode())
+    assert load_field_grid(grid).values_dbuv_m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    log = tmp_path / "log.csv"
+    log.write_bytes(newline.join([LOG_HEADER, "1.0,b,0.1, 10", "1.0,a,0.2,11", "2.0,b,0.3,12", ""]).encode())
+    logs = parse_measurement_file(log)
+    assert [(g.station_id, g.timestamp.tolist()) for g in logs] == [("b", [1.0, 2.0]), ("a", [1.0])]
+
+
+def test_header_then_empty_lines_reads_no_records(tmp_path):
+    # numpy's parser would warn on a body without records
+    log = tmp_path / "log.csv"
+    log.write_bytes((LOG_HEADER + "\n\n\r\n\n").encode())
+    assert parse_measurement_file(log) == []
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes((GRID_HEADER + "\r\n\r\n").encode())
+    with pytest.raises(ValueError, match="no data rows"):
+        load_field_grid(grid)

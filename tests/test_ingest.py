@@ -44,6 +44,12 @@ class TestParse:
             parse_measurement_file(path)
         assert exc.value.row == 3
 
+    def test_bad_row_after_comments_reports_its_file_line(self, tmp_path):
+        text = "# log\n" + HEADER + "# note\n1.0,a,0.1,10\n\n2.0,a,0.2,11\n1.5,a,0.3,12\n"
+        with pytest.raises(ParseError, match="row 7: timestamp 1.5 not increasing for station a") as exc:
+            parse_measurement_file(write(tmp_path, text))
+        assert exc.value.row == 7
+
     def test_missing_column_rejected(self, tmp_path):
         path = write(tmp_path, HEADER + "1.0,a,0.1\n")
         with pytest.raises(ParseError):

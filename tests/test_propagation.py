@@ -310,8 +310,17 @@ class TestGridIo:
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lat_deg,lon_deg,value_dbuv_m\n0.0,0.0,abc\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_field_grid(path)
+        assert exc.value.row == 2
+
+    def test_bad_row_after_comments_reports_its_file_line(self, tmp_path):
+        # the row is the file line, not the count of data rows before it
+        path = tmp_path / "bad.csv"
+        path.write_text("# lattice\nlat_deg,lon_deg,value_dbuv_m\n# note\n0.0,0.0,1.0\n\n0.0,1.0,abc\n")
+        with pytest.raises(ParseError, match="row 6: non-numeric") as exc:
+            load_field_grid(path)
+        assert exc.value.row == 6
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", [0, 2])
