@@ -22,12 +22,11 @@ from .coverage import (
     GridSpec,
     compute_coverage,
     coverage_summary,
-    read_coverage_csv,
     write_contour_csv,
     write_coverage_csv,
     write_coverage_pgm,
 )
-from .geodesy import EARTH_RADIUS_M, GeoPoint, azimuth, geodesic_distance
+from .geodesy import EARTH_RADIUS_M, GeoPoint, azimuth
 from .ingest import (
     StationLog,
     VarianceSample,

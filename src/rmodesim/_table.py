@@ -1,4 +1,4 @@
-"""The CSV table reader shared by the lattice and receiver-log loaders.
+"""The CSV table format of field lattices and receiver logs: one writer, one reader.
 
 Every column is numeric except an optional ``station_id`` column, which
 groups the records by station. A clean file goes through numpy's C parser
@@ -23,6 +23,29 @@ STATION = "station_id"
 # csv.reader before Python 3.11, and numpy strips \x1c-\x1f around a
 # number where float() rejects them.
 _LOOP_ONLY_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_WRITE_BLOCK = 65536  # records per formatted string, so a large table needs no large temporaries
+
+
+def write_table(path, columns: tuple[str, ...], groups: dict[str, list[np.ndarray]]) -> None:
+    """Write ``{station_id: [column, ...]}``, the form ``read_table`` returns, as a CSV table.
+
+    CRLF line ends, each number as its ``repr`` (read back bit-exactly), and
+    the station id framed as ``csv.writer`` frames it; a table without a
+    ``station_id`` column takes the single group ``""``.
+    """
+    station = columns.index(STATION) if STATION in columns else None
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(columns) + "\r\n")
+        for sid, cols in groups.items():
+            fields = ["%r"] * len(cols)
+            if station is not None:
+                if any(c in sid for c in ',"\r\n'):
+                    sid = '"' + sid.replace('"', '""') + '"'
+                fields.insert(station, sid.replace("%", "%%"))
+            template = ",".join(fields) + "\r\n"
+            for i in range(0, len(cols[0]), _WRITE_BLOCK):
+                rows = zip(*(c[i : i + _WRITE_BLOCK].tolist() for c in cols))
+                f.write("".join(template % r for r in rows))
 
 
 def read_table(path, columns: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
@@ -38,8 +61,9 @@ def read_table(path, columns: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
     comment; later comment and empty lines are skipped and csv quoting is
     honoured. Raises ParseError, with the 1-based line number, for a wrong
     header or field count, an empty station id, a non-numeric or
-    non-finite field, or a timestamp (the first column) that does not
-    increase strictly within its station.
+    non-finite field, a field longer than ``csv.field_size_limit()``, or a
+    timestamp (the first column) that does not increase strictly within
+    its station.
     """
     return _read_numpy(path, columns) or _read_rows(path, columns)
 
@@ -54,6 +78,7 @@ def _read_numpy(path, columns) -> dict[str, list[np.ndarray]] | None:
         first.removesuffix(b"\r") != ",".join(columns).encode()
         or not body.lstrip(b"\r\n")
         or any(b in data for b in _LOOP_ONLY_BYTES)
+        or _has_long_line(data, csv.field_size_limit())
     ):
         return None
     del data, body  # numpy reads the file itself
@@ -84,45 +109,61 @@ def _read_numpy(path, columns) -> dict[str, list[np.ndarray]] | None:
     return groups
 
 
+def _has_long_line(data: bytes, limit: int) -> bool:
+    """Whether a line of ``data`` is over ``limit`` bytes, so it may hold a field over csv's limit.
+
+    Each step jumps to the last newline within the next ``limit + 1`` bytes.
+    """
+    start = 0
+    while len(data) - start > limit:
+        newline = data.rfind(b"\n", start, start + limit + 1)
+        if newline < 0:
+            return True
+        start = newline + 1
+    return False
+
+
 def _read_rows(path, columns) -> dict[str, list[np.ndarray]]:
     """The validating row loop: csv.reader, float() and a check per row."""
     station = columns.index(STATION) if STATION in columns else None
     groups: dict[str, list[list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as f:
         header = None
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = tuple(c.strip() for c in row)
-                if header != columns:
-                    raise ParseError(lineno, f"expected header {','.join(columns)}")
-                continue
-            if len(row) != len(columns):
-                raise ParseError(lineno, f"expected {len(columns)} fields, got {len(row)}")
-            sid = ""
-            if station is not None:
-                # log fields are matched stripped, lattice fields as written;
-                # float() ignores padding, so only error messages differ
-                row = [c.strip() for c in row]
-                sid = row.pop(station)
-                if not sid:
-                    raise ParseError(lineno, f"empty {STATION}")
-            try:
-                values = [float(c) for c in row]
-            except ValueError as exc:
-                raise ParseError(lineno, f"non-numeric field: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError(lineno, "non-finite field")
-            cols = groups.get(sid)
-            if cols is None:
-                cols = groups[sid] = [[] for _ in values]
-            elif station is not None and values[0] <= cols[0][-1]:
-                raise ParseError(
-                    lineno, f"{columns[0]} {values[0]} not increasing for station {sid}"
-                )
-            for col, v in zip(cols, values):
-                col.append(v)
+        reader = csv.reader(f)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if header is None:
+                    header = tuple(c.strip() for c in row)
+                    if header != columns:
+                        raise ParseError(lineno, f"expected header {','.join(columns)}")
+                    continue
+                if len(row) != len(columns):
+                    raise ParseError(lineno, f"expected {len(columns)} fields, got {len(row)}")
+                sid = ""
+                if station is not None:
+                    # log fields are matched stripped, lattice fields as written;
+                    # float() ignores padding, so only error messages differ
+                    row = [c.strip() for c in row]
+                    sid = row.pop(station)
+                    if not sid:
+                        raise ParseError(lineno, f"empty {STATION}")
+                try:
+                    values = [float(c) for c in row]
+                except ValueError as exc:
+                    raise ParseError(lineno, f"non-numeric field: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise ParseError(lineno, "non-finite field")
+                cols = groups.get(sid)
+                if cols is None:
+                    cols = groups[sid] = [[] for _ in values]
+                elif station is not None and values[0] <= cols[0][-1]:
+                    raise ParseError(lineno, f"{columns[0]} {values[0]} not increasing for station {sid}")
+                for col, v in zip(cols, values):
+                    col.append(v)
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
         if header is None:
             raise ParseError(1, "empty file, missing header")
     return {sid: [np.array(c) for c in cols] for sid, cols in groups.items()}

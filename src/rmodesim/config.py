@@ -19,6 +19,7 @@ import yaml
 from .coverage import GridSpec
 from .errors import ConfigError, RmodeError
 from .geodesy import GeoPoint
+from .ingest import DEFAULT_WINDOW_LEN
 from .propagation import (
     DEFAULT_ATTEN_DB_PER_KM,
     DEFAULT_REF_FIELD_DBUV_M,
@@ -37,22 +38,22 @@ DEFAULT_SNR_THRESHOLD_DB = -15.0
 
 @dataclass(frozen=True)
 class FitOptions:
-    window_len: int = 100
-    detrend: str = "none"
-    trim_fraction: float = 0.0
+    window_len: int
+    detrend: str
+    trim_fraction: float
 
 
 @dataclass(frozen=True)
 class OutputPaths:
     """Output file names; resolved against the config directory when relative."""
 
-    coverage_csv: str = "coverage.csv"
-    coverage_pgm: str = "coverage.pgm"
-    pgm_clip_m: float = 50.0
-    contour_csv: str | None = None
-    contour_limit_m: float = 10.0
-    fit_report_csv: str = "fit_report.csv"
-    params_yaml: str = "fitted_params.yaml"
+    coverage_csv: str
+    coverage_pgm: str
+    pgm_clip_m: float
+    contour_csv: str | None
+    contour_limit_m: float
+    fit_report_csv: str
+    params_yaml: str
 
 
 @dataclass
@@ -240,7 +241,7 @@ def load_config(path) -> RunConfig:
         gsec.finish()
 
     fit_sec = _Section(top.get("fit", {}), "fit")
-    window_len = fit_sec.get("window_len", 100)
+    window_len = fit_sec.get("window_len", DEFAULT_WINDOW_LEN)
     if not isinstance(window_len, int) or isinstance(window_len, bool) or window_len < 2:
         raise ConfigError(f"fit.window_len: expected an integer >= 2, got {window_len!r}")
     detrend = fit_sec.get("detrend", "none")

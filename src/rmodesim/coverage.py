@@ -22,7 +22,7 @@ from .variance_model import ModelParams
 
 # A grid holds about 10 B/cell (8 accuracy, 1 mask code, 1-2 count), so
 # the limit keeps a map's arrays near 100 MB.
-DEFAULT_CELL_LIMIT = 10_000_000
+CELL_LIMIT = 10_000_000
 # Cells per kernel call, in whole rows: big enough to amortise the call,
 # small enough that the kernel's ~560 B/cell of temporaries (the per-station
 # SNR among them) stay a few MiB per worker and are never held grid-wide.
@@ -103,21 +103,20 @@ def compute_coverage(
     noise: NoiseSpec,
     snr_threshold_db: float,
     threads: int = 0,
-    cell_limit: int = DEFAULT_CELL_LIMIT,
 ) -> CoverageGrid:
     """Sweep the grid and evaluate accuracy at every cell.
 
     ``threads`` 0 means one worker per available CPU, 1 runs serially and
     more are capped at the CPU count; the result is identical for any
     value. Raises ValueError when ``threads`` is negative and
-    GridTooLargeError when the grid exceeds ``cell_limit`` cells.
+    GridTooLargeError when the grid exceeds ``CELL_LIMIT`` cells.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     if len(stations) < 3:
         raise ValueError(f"need >= 3 configured stations, got {len(stations)}")
-    if spec.cell_count > cell_limit:
-        raise GridTooLargeError(f"{spec.cell_count} cells exceeds the limit of {cell_limit}")
+    if spec.cell_count > CELL_LIMIT:
+        raise GridTooLargeError(f"{spec.cell_count} cells exceeds the limit of {CELL_LIMIT}")
 
     lats = spec.lat_values()
     lons = spec.lon_values()
@@ -183,20 +182,6 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
             pre = f"{lat:.6f},"
             cells = zip(lon_strs, acc.tolist(), cnt.tolist(), _MASK_STRINGS[code].tolist())
             f.write("".join(f"{pre}{lon},{'' if m else f'{a:.6f}'},{c},{m}\r\n" for lon, a, c, m in cells))
-
-
-def read_coverage_csv(path) -> list[tuple[float, float, float | None, int, str]]:
-    """Read rows written by :func:`write_coverage_csv`."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask"]:
-            raise ValueError(f"unexpected header {header}")
-        for row in reader:
-            lat, lon, acc, count, mask = row
-            rows.append((float(lat), float(lon), float(acc) if acc else None, int(count), mask))
-    return rows
 
 
 def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None:

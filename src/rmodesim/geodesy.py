@@ -64,11 +64,6 @@ def bearing_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     return np.where(b >= TWO_PI, 0.0, b)
 
 
-def geodesic_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters between two points."""
-    return float(haversine_m(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg))
-
-
 def azimuth(user: GeoPoint, tx: GeoPoint) -> float:
     """Initial bearing from the user toward a transmitter, clockwise from north.
 

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import NnlsConvergenceError
 
 
-def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
+def nnls(a, b, max_iter: int | None = None):
     """Solve ``argmin_x || a @ x - b ||_2`` subject to ``x >= 0``.
 
     Parameters
@@ -21,10 +21,6 @@ def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
         method terminates finitely, the cap only guards against cycling
         caused by rounding on near-degenerate designs. Hitting it raises
         NnlsConvergenceError.
-    tol : float, optional
-        Dual-feasibility tolerance on the gradient ``a.T @ (b - a @ x)``.
-        Default scales machine epsilon by the problem size and the
-        gradient magnitude at the origin.
 
     Returns
     -------
@@ -38,8 +34,8 @@ def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
     -----
     Deterministic: ties in the dual-variable argmax resolve to the
     lowest column index, so identical inputs give identical results. At
-    the solution the KKT conditions hold to within ``tol``: the gradient
-    is ~0 on free components and <= tol on components held at zero.
+    the solution the KKT conditions hold to within a size-scaled epsilon:
+    the gradient is ~0 on free components and <= it on components at zero.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -52,8 +48,7 @@ def nnls(a, b, max_iter: int | None = None, tol: float | None = None):
         max_iter = 10 * max(n, 1)
 
     w = a.T @ b  # gradient at x = 0
-    if tol is None:
-        tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(w).max(initial=0.0)))
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(w).max(initial=0.0)))
 
     x = np.zeros(n)
     free = np.zeros(n, dtype=bool)

@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from ._table import read_table
+from ._table import read_table, write_table
 from .errors import (
     NonMonotonicAxesError,
     OutOfGridBoundsError,
@@ -230,16 +230,6 @@ def load_field_grid(path) -> FieldGrid:
 
 
 def write_field_grid(grid: FieldGrid, path) -> None:
-    """Write a lattice CSV in the canonical lat-major order.
-
-    Values serialize with ``repr`` so a read-back reproduces them
-    bit-exactly.
-    """
-    # csv.writer's framing, one joined string per latitude row (no repr of
-    # a float holds a comma, quote or newline)
-    lon_strs = [repr(lon) for lon in grid.lon_deg.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(GRID_COLUMNS) + "\r\n")
-        for lat, row in zip(grid.lat_deg.tolist(), grid.values_dbuv_m.tolist()):
-            pre = f"{lat!r},"
-            f.write("".join(f"{pre}{lon},{v!r}\r\n" for lon, v in zip(lon_strs, row)))
+    """Write a lattice CSV in the canonical lat-major order; its values read back bit-exactly."""
+    lat, lon = np.meshgrid(grid.lat_deg, grid.lon_deg, indexing="ij")
+    write_table(path, GRID_COLUMNS, {"": [lat.ravel(), lon.ravel(), grid.values_dbuv_m.ravel()]})

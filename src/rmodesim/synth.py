@@ -11,10 +11,9 @@ behaves.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from ._table import write_table
 from .ingest import MEASUREMENT_COLUMNS, TWO_PI, StationLog
 
 
@@ -27,14 +26,12 @@ def synth_station_log(
     window_len: int,
     noise: str = "none",
     rng: np.random.Generator | None = None,
-    t0: float = 0.0,
-    dt: float = 1.0,
 ) -> StationLog:
     """Generate one station's log: one window per entry of ``snr_linear``.
 
     Each window holds ``window_len`` records at the window's SNR, with
     phase variance matching sigma^2 = jitter^2 + C^2/snr scaled into the
-    phase domain by (2*pi/wavelength)^2. Record k is stamped t0 + k*dt.
+    phase domain by (2*pi/wavelength)^2. Record k has timestamp k.
     """
     if noise not in ("none", "gauss"):
         raise ValueError(f"noise must be 'none' or 'gauss', got {noise!r}")
@@ -60,16 +57,10 @@ def synth_station_log(
         phases = rng.normal(0.0, np.sqrt(phase_var)[:, None], (snr_values.size, n))
     wrapped = np.mod(phases + np.pi, TWO_PI) - np.pi  # to [-pi, pi), as receivers log phase
     return StationLog(
-        station_id, t0 + dt * np.arange(phases.size), wrapped.ravel(), np.repeat(10.0 * np.log10(snr_values), n)
+        station_id, np.arange(phases.size, dtype=float), wrapped.ravel(), np.repeat(10.0 * np.log10(snr_values), n)
     )
 
 
 def write_measurement_csv(log: StationLog, path) -> None:
     """Write one station's log in the measurement CSV schema."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(MEASUREMENT_COLUMNS)
-        w.writerows(
-            (repr(t), log.station_id, repr(p), repr(s))
-            for t, p, s in zip(log.timestamp.tolist(), log.phase_rad.tolist(), log.snr_db.tolist())
-        )
+    write_table(path, MEASUREMENT_COLUMNS, {log.station_id: [log.timestamp, log.phase_rad, log.snr_db]})

@@ -307,6 +307,64 @@ def loop_parse_measurement_file(path):
     return [StationLog(sid, *cols) for sid, cols in columns.items()]
 
 
+def read_coverage_csv(path) -> list[tuple[float, float, float | None, int, str]]:
+    """Read rows written by ``rmodesim.write_coverage_csv``."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if header != ["lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask"]:
+            raise ValueError(f"unexpected header {header}")
+        for row in reader:
+            lat, lon, acc, count, mask = row
+            rows.append((float(lat), float(lon), float(acc) if acc else None, int(count), mask))
+    return rows
+
+
+def csv_writer_field_grid(grid, path):
+    """The lattice writer before ``write_table``, kept verbatim as a byte reference."""
+    from rmodesim.propagation import GRID_COLUMNS
+
+    # csv.writer's framing, one joined string per latitude row (no repr of
+    # a float holds a comma, quote or newline)
+    lon_strs = [repr(lon) for lon in grid.lon_deg.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(GRID_COLUMNS) + "\r\n")
+        for lat, row in zip(grid.lat_deg.tolist(), grid.values_dbuv_m.tolist()):
+            pre = f"{lat!r},"
+            f.write("".join(f"{pre}{lon},{v!r}\r\n" for lon, v in zip(lon_strs, row)))
+
+
+def csv_writer_measurement_csv(log, path):
+    """The log writer before ``write_table``, kept verbatim as a byte reference."""
+    from rmodesim.ingest import MEASUREMENT_COLUMNS
+
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(MEASUREMENT_COLUMNS)
+        w.writerows(
+            (repr(t), log.station_id, repr(p), repr(s))
+            for t, p, s in zip(log.timestamp.tolist(), log.phase_rad.tolist(), log.snr_db.tolist())
+        )
+
+
+def long_field_file(path, kind, comment):
+    """A lattice or log of 4 records whose last field, ``0.`` and 200,001 digits, is over csv's field limit.
+
+    ``comment`` is the number of ``#`` lines before the header.
+    """
+    from rmodesim.ingest import MEASUREMENT_COLUMNS
+    from rmodesim.propagation import GRID_COLUMNS
+
+    long_value = "0." + "1" * 200_001
+    if kind == "lattice":
+        header, rows = GRID_COLUMNS, ["0.0,0.0,1.0", "0.0,1.0,2.0", "1.0,0.0,3.0", f"1.0,1.0,{long_value}"]
+    else:
+        header, rows = MEASUREMENT_COLUMNS, ["1.0,s,0.1,10.0", "2.0,s,0.2,10.0", "3.0,s,0.3,10.0", f"4.0,s,0.4,{long_value}"]
+    path.write_text("\n".join(["# a comment"] * comment + [",".join(header), *rows]) + "\n")
+    return path
+
+
 def loop_load_field_grid(path):
     """``load_field_grid`` as one csv.reader loop per row, kept as a reference.
 

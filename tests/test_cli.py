@@ -9,7 +9,7 @@ from rmodesim.cli import main
 from rmodesim.errors import NnlsConvergenceError
 from rmodesim.ingest import MEASUREMENT_COLUMNS
 
-from helpers import destination_point
+from helpers import destination_point, long_field_file
 
 
 def run(capsys, *argv):
@@ -121,6 +121,14 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--config", str(config_factory()), str(log))
         assert code == 2
         assert "row 2" in err
+
+    @pytest.mark.parametrize("comment", [0, 1], ids=["clean", "comment_first"])
+    def test_field_over_csv_limit_exit_2_with_row_number(self, config_factory, tmp_path, capsys, comment):
+        # numpy's parser and the row loop give one answer: no traceback
+        log = long_field_file(tmp_path / "log.csv", "log", comment)
+        code, _, err = run(capsys, "fit", "--config", str(config_factory()), str(log))
+        assert code == 2
+        assert f"error: row {5 + comment}: malformed CSV: field larger than field limit" in err
 
     def test_nnls_non_convergence_exit_3(self, config_factory, tmp_path, capsys, monkeypatch):
         config = config_factory()

@@ -23,7 +23,6 @@ from rmodesim import (
     accuracy_at,
     compute_coverage,
     coverage_summary,
-    read_coverage_csv,
     write_contour_csv,
     write_coverage_csv,
     write_coverage_pgm,
@@ -33,7 +32,7 @@ from rmodesim.config import load_config
 from rmodesim.errors import GridTooLargeError, NonpositiveSnrError
 from rmodesim.propagation import field_strength_dbuv_m, snr_db_at
 
-from helpers import destination_point
+from helpers import destination_point, read_coverage_csv
 
 
 def three_stations(center_lat=36.0, center_lon=127.0, distance_m=200_000.0):
@@ -192,10 +191,11 @@ class TestComputeCoverage:
         assert np.all(loose.usable_count >= tight.usable_count)
 
     def test_grid_too_large(self):
+        # rejected from cell_count, before any grid array is allocated
         stations, params, prop, noise = scenario()
-        spec = GridSpec(35.0, 37.0, 126.0, 128.0, 0.1)
-        with pytest.raises(GridTooLargeError):
-            compute_coverage(spec, stations, params, prop, noise, -15.0, cell_limit=100)
+        spec = GridSpec(35.0, 37.0, 126.0, 128.0, 0.0005)
+        with pytest.raises(GridTooLargeError, match="16008001 cells exceeds the limit of 10000000"):
+            compute_coverage(spec, stations, params, prop, noise, -15.0)
 
     def test_needs_three_stations(self):
         stations, params, prop, noise = scenario()

@@ -1,10 +1,14 @@
-"""The shared CSV table reader against the row loops it replaced.
+"""The shared CSV table writer and reader against the loops they replaced.
 
 ``load_field_grid`` and ``parse_measurement_file`` must return bitwise the
 arrays the old csv.reader loops (kept in ``helpers``) return, or raise the
 same exception with the same message and row, on clean files and on every
-kind of file that needs the validating row loop.
+kind of file that needs the validating row loop. ``write_field_grid`` and
+``write_measurement_csv`` must write the bytes of the old writers.
 """
+
+import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmodesim._table
-from helpers import loop_load_field_grid, loop_parse_measurement_file
-from rmodesim import load_field_grid, parse_measurement_file
+from helpers import (
+    csv_writer_field_grid,
+    csv_writer_measurement_csv,
+    long_field_file,
+    loop_load_field_grid,
+    loop_parse_measurement_file,
+)
+from rmodesim import (
+    FieldGrid,
+    StationLog,
+    load_field_grid,
+    parse_measurement_file,
+    write_field_grid,
+    write_measurement_csv,
+)
+from rmodesim.errors import ParseError
 
 GRID_HEADER = "lat_deg,lon_deg,value_dbuv_m"
 LOG_HEADER = "timestamp,station_id,phase_rad,snr_db"
@@ -144,3 +162,71 @@ def test_header_then_empty_lines_reads_no_records(tmp_path):
     grid.write_bytes((GRID_HEADER + "\r\n\r\n").encode())
     with pytest.raises(ValueError, match="no data rows"):
         load_field_grid(grid)
+
+
+# bounded so that no axis or timestamp difference overflows
+coordinates = st.floats(-1e300, 1e300)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def increasing(min_size, max_size):
+    return st.lists(coordinates, min_size=min_size, max_size=max_size, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lat=increasing(2, 4),
+    lon=increasing(2, 4),
+    timestamps=increasing(0, 6),
+    station_id=st.text(st.sampled_from('ab,"% \t'), min_size=1, max_size=6).filter(str.strip),
+    data=st.data(),
+)
+def test_writers_match_reference_bytes_and_read_back(tmp_path_factory, lat, lon, timestamps, station_id, data):
+    def floats(n):
+        return data.draw(st.lists(finite, min_size=n, max_size=n))
+
+    grid = FieldGrid(lat, lon, np.reshape(floats(len(lat) * len(lon)), (len(lat), len(lon))))
+    n = len(timestamps)
+    log = StationLog(station_id, timestamps, floats(n), floats(n))
+    out = tmp_path_factory.mktemp("write")
+    write_field_grid(grid, out / "grid.csv")
+    csv_writer_field_grid(grid, out / "grid_reference.csv")
+    write_measurement_csv(log, out / "log.csv")
+    csv_writer_measurement_csv(log, out / "log_reference.csv")
+    assert (out / "grid.csv").read_bytes() == (out / "grid_reference.csv").read_bytes()
+    assert (out / "log.csv").read_bytes() == (out / "log_reference.csv").read_bytes()
+
+    with mock.patch.object(rmodesim._table, "_read_rows", wraps=rmodesim._table._read_rows) as row_loop:
+        back = load_field_grid(out / "grid.csv")
+        assert not row_loop.called
+        logs = parse_measurement_file(out / "log.csv")
+        # only a header without records, a quoted station id or a padded one
+        # (whose padding the row loop strips) needs the row loop
+        quoted = any(c in station_id for c in ',"')
+        assert row_loop.called == (n == 0 or quoted or station_id != station_id.strip())
+    for a, b in ((back.lat_deg, grid.lat_deg), (back.lon_deg, grid.lon_deg), (back.values_dbuv_m, grid.values_dbuv_m)):
+        assert a.tobytes() == b.tobytes()
+    assert [(g.station_id, g.timestamp.tobytes(), g.phase_rad.tobytes(), g.snr_db.tobytes()) for g in logs] == (
+        [(station_id.strip(), log.timestamp.tobytes(), log.phase_rad.tobytes(), log.snr_db.tobytes())] if n else []
+    )
+
+
+@pytest.mark.parametrize("comment", [0, 1], ids=["clean", "comment_first"])
+@pytest.mark.parametrize("kind", ["lattice", "log"])
+def test_field_over_csv_limit_is_a_parse_error(tmp_path, kind, comment):
+    # the same answer whichever path reads the file, and csv's limit left as it was
+    path = long_field_file(tmp_path / f"{kind}.csv", kind, comment)
+    limit = csv.field_size_limit()
+    with pytest.raises(ParseError, match="field larger than field limit") as exc:
+        (load_field_grid if kind == "lattice" else parse_measurement_file)(path)
+    assert exc.value.row == 5 + comment
+    assert csv.field_size_limit() == limit
+
+
+def test_long_line_check():
+    assert not rmodesim._table._has_long_line(b"", 4)
+    assert not rmodesim._table._has_long_line(b"abcd\nabcd\nab", 4)
+    assert not rmodesim._table._has_long_line(b"abcd\n" * 5 + b"abcd", 4)
+    assert rmodesim._table._has_long_line(b"abcd\nabcde\nab", 4)
+    assert rmodesim._table._has_long_line(b"abcd\n" * 5 + b"abcde", 4)
+    assert rmodesim._table._has_long_line(b"abcde", 4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmodesim import EARTH_RADIUS_M, GeoPoint, azimuth, geodesic_distance
+from rmodesim import EARTH_RADIUS_M, GeoPoint, azimuth
 from rmodesim.errors import CoincidentPointsError
 from rmodesim.geodesy import bearing_rad, haversine_m
 
@@ -16,14 +16,13 @@ lon_st = st.floats(min_value=-180.0, max_value=180.0)
 
 
 def test_identity_distance_is_zero():
-    p = GeoPoint(12.5, -47.25)
-    assert geodesic_distance(p, p) == 0.0
+    assert haversine_m(12.5, -47.25, 12.5, -47.25) == 0.0
 
 
 def test_one_degree_longitude_on_equator():
     # closed form: R * pi / 180
     expected = EARTH_RADIUS_M * math.pi / 180.0
-    d = geodesic_distance(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
+    d = haversine_m(0.0, 0.0, 0.0, 1.0)
     assert d == pytest.approx(expected, abs=1e-6)
     assert d == pytest.approx(111_195.0, abs=1.0)
 
@@ -31,9 +30,8 @@ def test_one_degree_longitude_on_equator():
 @given(lat_st, lon_st, lat_st, lon_st)
 @settings(max_examples=200)
 def test_distance_symmetry(lat1, lon1, lat2, lon2):
-    a, b = GeoPoint(lat1, lon1), GeoPoint(lat2, lon2)
-    assert geodesic_distance(a, b) >= 0.0
-    assert geodesic_distance(a, b) == pytest.approx(geodesic_distance(b, a), abs=1e-9)
+    assert haversine_m(lat1, lon1, lat2, lon2) >= 0.0
+    assert haversine_m(lat1, lon1, lat2, lon2) == pytest.approx(haversine_m(lat2, lon2, lat1, lon1), abs=1e-9)
 
 
 def test_cardinal_azimuths():
@@ -154,5 +152,5 @@ def test_array_paths_match_scalar():
     d = haversine_m(lats, lons, 15.0, 10.0)
     b = bearing_rad(lats, lons, 15.0, 10.0)
     for i in range(3):
-        assert d[i] == geodesic_distance(GeoPoint(lats[i], lons[i]), GeoPoint(15.0, 10.0))
+        assert d[i] == haversine_m(lats[i], lons[i], 15.0, 10.0)
         assert b[i] == azimuth(GeoPoint(lats[i], lons[i]), GeoPoint(15.0, 10.0))
