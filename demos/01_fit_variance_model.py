@@ -16,9 +16,10 @@ parameters back by non-negative least squares.
 
 import numpy as np
 
-from rmodesim import fit_params, residual_rss, window_variance
+from rmodesim import ModelParams, fit_params, window_variance
 from rmodesim.propagation import wavelength_m
 from rmodesim.synth import synth_station_log
+from rmodesim.variance_model import toa_variance_m2
 
 # ------------------------------------------------------------------
 # 1. Ground truth: two quiet transmitters and one jittery one.
@@ -70,14 +71,18 @@ print(f"  RSS = {report.rss_m4:.4g} m^4 over {sum(report.n_samples.values())} sa
 #    surface is convex in the squared parameters.
 # ------------------------------------------------------------------
 rng = np.random.default_rng(7)
-fitted_rss = residual_rss(params, samples)
+
+
+def rss(p):
+    return sum((s.toa_var_m2 - toa_variance_m2(p.jitter_m[s.station_id], p.c_m, s.snr_linear)) ** 2 for s in samples)
+
+
+fitted_rss = rss(params)
 worse = 0
 for _ in range(200):
-    from rmodesim import ModelParams
-
     perturbed = ModelParams(
         {sid: abs(j + rng.normal(0.0, 0.1)) for sid, j in params.jitter_m.items()},
         abs(params.c_m + rng.normal(0.0, 0.1)),
     )
-    worse += residual_rss(perturbed, samples) >= fitted_rss
+    worse += rss(perturbed) >= fitted_rss
 print(f"\nperturbation probe: {worse}/200 random neighbors have higher RSS")

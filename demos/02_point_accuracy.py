@@ -33,11 +33,11 @@ from rmodesim import (
 # 1. Scenario: three 300 W transmitters around a harbor area.
 # ------------------------------------------------------------------
 stations = [
-    TransmitterStation("north", GeoPoint(37.80, 127.00), 300.0, 300e3, 0.0),
-    TransmitterStation("southeast", GeoPoint(35.60, 128.40), 300.0, 300e3, 1.41),
-    TransmitterStation("southwest", GeoPoint(35.60, 125.60), 300.0, 300e3, 0.0),
+    TransmitterStation("north", GeoPoint(37.80, 127.00), 300.0, 300e3),
+    TransmitterStation("southeast", GeoPoint(35.60, 128.40), 300.0, 300e3),
+    TransmitterStation("southwest", GeoPoint(35.60, 125.60), 300.0, 300e3),
 ]
-params = ModelParams({tx.station_id: tx.jitter_m for tx in stations}, 22.15)
+params = ModelParams({"north": 0.0, "southeast": 1.41, "southwest": 0.0}, 22.15)
 prop = ParametricPropagation(ref_field_dbuv_m=109.5, atten_db_per_km=0.03)
 noise = NoiseSpec(season_label="Averaged", percentile=0.95, level_dbuv_m=40.0)
 THRESHOLD_DB = -15.0

@@ -79,5 +79,5 @@ print("\ntransmitters:")
 for tx in cfg.stations:
     print(
         f"  {tx.station_id:10s} ({tx.position.lat_deg:.3f}N, {tx.position.lon_deg:.3f}E)  "
-        f"{tx.power_w:.0f} W, jitter {tx.jitter_m} m"
+        f"{tx.power_w:.0f} W, jitter {cfg.params.jitter_m[tx.station_id]} m"
     )

@@ -39,9 +39,9 @@ OUT.mkdir(exist_ok=True)
 # 1. Three stations and a lattice covering the area of interest.
 # ------------------------------------------------------------------
 stations = [
-    TransmitterStation("north", GeoPoint(37.2, 127.0), 300.0, 300e3, 0.0),
-    TransmitterStation("east", GeoPoint(36.0, 128.2), 500.0, 300e3, 1.41),
-    TransmitterStation("west", GeoPoint(36.0, 125.8), 300.0, 300e3, 0.0),
+    TransmitterStation("north", GeoPoint(37.2, 127.0), 300.0, 300e3),
+    TransmitterStation("east", GeoPoint(36.0, 128.2), 500.0, 300e3),
+    TransmitterStation("west", GeoPoint(36.0, 125.8), 300.0, 300e3),
 ]
 lat_axis = np.arange(34.0, 39.01, 0.1)
 lon_axis = np.arange(124.0, 130.01, 0.1)
@@ -92,7 +92,7 @@ for tx in stations:
 #    a transmitter site has no azimuth (CoincidentPointsError), so the
 #    nodes sit half a step off the sites.
 # ------------------------------------------------------------------
-params = ModelParams({tx.station_id: tx.jitter_m for tx in stations}, 22.15)
+params = ModelParams({"north": 0.0, "east": 1.41, "west": 0.0}, 22.15)
 spec = GridSpec(34.525, 38.525, 124.525, 129.525, 0.05)
 grid = compute_coverage(spec, stations, params, prop, noise, -15.0)
 s = coverage_summary(grid)

@@ -26,7 +26,7 @@ from .coverage import (
     write_coverage_csv,
     write_coverage_pgm,
 )
-from .geodesy import EARTH_RADIUS_M, GeoPoint, azimuth
+from .geodesy import EARTH_RADIUS_M, GeoPoint
 from .ingest import (
     StationLog,
     VarianceSample,
@@ -48,13 +48,6 @@ from .propagation import (
     write_field_grid,
 )
 from .synth import synth_station_log, write_measurement_csv
-from .variance_model import (
-    FitReport,
-    ModelParams,
-    fit_params,
-    predict_sigma2,
-    residual_rss,
-    write_fit_report_csv,
-)
+from .variance_model import FitReport, ModelParams, fit_params, write_fit_report_csv
 
 __version__ = "0.1.0"

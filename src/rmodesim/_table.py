@@ -59,11 +59,11 @@ def read_table(path, columns: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
 
     The header is the first line that is neither empty nor a ``#``
     comment; later comment and empty lines are skipped and csv quoting is
-    honoured. Raises ParseError, with the 1-based line number, for a wrong
-    header or field count, an empty station id, a non-numeric or
-    non-finite field, a field longer than ``csv.field_size_limit()``, or a
-    timestamp (the first column) that does not increase strictly within
-    its station.
+    honoured. Raises ParseError, with the 1-based file line the bad record
+    ends on, for a wrong header or field count, an empty station id, a
+    non-numeric or non-finite field, a field longer than
+    ``csv.field_size_limit()``, or a timestamp (the first column) that does
+    not increase strictly within its station.
     """
     return _read_numpy(path, columns) or _read_rows(path, columns)
 
@@ -131,7 +131,8 @@ def _read_rows(path, columns) -> dict[str, list[np.ndarray]]:
         header = None
         reader = csv.reader(f)
         try:
-            for lineno, row in enumerate(reader, start=1):
+            for row in reader:
+                lineno = reader.line_num  # the line a record ends on, when a quoted field spans lines
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 if header is None:

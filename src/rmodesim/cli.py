@@ -47,11 +47,10 @@ EXIT_RESOURCE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="run configuration YAML")
-    common.add_argument("--format", choices=("text", "csv"), default="text")
-    common.add_argument("--threads", type=int, default=0, help="coverage workers, 0 = one per CPU")
-    common.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="run configuration YAML")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[config])
+    formatted.add_argument("--format", choices=("text", "csv"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="rmodesim",
@@ -60,20 +59,22 @@ def _build_parser() -> argparse.ArgumentParser:
     # synth stays out of the advertised commands; it is test tooling
     sub = parser.add_subparsers(dest="command", required=True, metavar="{fit,accuracy,coverage}")
 
-    p_fit = sub.add_parser("fit", parents=[common], help="fit jitter/constant from measurement logs")
+    p_fit = sub.add_parser("fit", parents=[formatted], help="fit jitter/constant from measurement logs")
     p_fit.add_argument("measurements", nargs="+", help="measurement CSV files")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_acc = sub.add_parser("accuracy", parents=[common], help="accuracy breakdown at one point")
+    p_acc = sub.add_parser("accuracy", parents=[formatted], help="accuracy breakdown at one point")
     p_acc.add_argument("--lat", type=float, required=True)
     p_acc.add_argument("--lon", type=float, required=True)
     p_acc.set_defaults(func=cmd_accuracy)
 
-    p_cov = sub.add_parser("coverage", parents=[common], help="sweep the configured grid")
+    p_cov = sub.add_parser("coverage", parents=[formatted], help="sweep the configured grid")
+    p_cov.add_argument("--threads", type=int, default=0, help="sweep workers, 0 = one per CPU")
     p_cov.set_defaults(func=cmd_coverage)
 
     # test tooling: synthesize measurement logs from the configured model
-    p_syn = sub.add_parser("synth", parents=[common])
+    p_syn = sub.add_parser("synth", parents=[config])
+    p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--out-dir", required=True)
     p_syn.add_argument("--windows", type=int, default=200)
     p_syn.add_argument("--snr-min", type=float, default=1.0)

@@ -138,26 +138,25 @@ def load_config(path) -> RunConfig:
     if not isinstance(stations_raw, list) or not stations_raw:
         raise ConfigError("stations: expected a non-empty list")
     stations = []
+    jitter_m = {}
     for n, entry in enumerate(stations_raw):
         sec = _Section(entry, f"stations[{n}]")
         sid = sec.get("id", required=True)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"stations[{n}].id: expected a non-empty string")
+        if sid == "C":
+            raise ConfigError(f"stations[{n}].id: 'C' is reserved for the shared constant's row in the fit report")
         try:
-            stations.append(
-                TransmitterStation(
-                    station_id=sid,
-                    position=GeoPoint(
-                        sec.number("lat_deg", required=True),
-                        sec.number("lon_deg", required=True),
-                    ),
-                    power_w=sec.number("power_w", required=True),
-                    carrier_hz=sec.number("carrier_hz", required=True),
-                    jitter_m=sec.number("jitter_m", 0.0),
-                )
-            )
+            position = GeoPoint(sec.number("lat_deg", required=True), sec.number("lon_deg", required=True))
+            power_w = sec.number("power_w", required=True)
+            carrier_hz = sec.number("carrier_hz", required=True)
+            jitter = sec.number("jitter_m", 0.0)
+            stations.append(TransmitterStation(sid, position, power_w, carrier_hz))
+            if jitter < 0.0:
+                raise ValueError(f"jitter_m must be >= 0, got {jitter}")
         except ValueError as exc:
             raise ConfigError(f"stations[{n}]: {exc}") from exc
+        jitter_m[sid] = jitter
         sec.finish()
     ids = [tx.station_id for tx in stations]
     if len(set(ids)) != len(ids):
@@ -166,10 +165,7 @@ def load_config(path) -> RunConfig:
 
     model = _Section(top.get("model", required=True), "model")
     try:
-        params = ModelParams(
-            jitter_m={tx.station_id: tx.jitter_m for tx in stations},
-            c_m=model.number("c_m", required=True),
-        )
+        params = ModelParams(jitter_m=jitter_m, c_m=model.number("c_m", required=True))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     model.finish()

@@ -10,7 +10,7 @@ class ConfigError(RmodeError):
 
 
 class CoincidentPointsError(RmodeError):
-    """Azimuth requested between two identical points."""
+    """A query point on a transmitter site, where the azimuth to it is undefined."""
 
 
 class ParseError(RmodeError):

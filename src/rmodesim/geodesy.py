@@ -1,4 +1,4 @@
-"""Great-circle distance and azimuth on a spherical earth.
+"""Great-circle distance and bearing on a spherical earth.
 
 All geometry uses a sphere of radius ``EARTH_RADIUS_M``; the sub-0.5%
 error against an ellipsoid is negligible next to propagation-model
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import CoincidentPointsError
 
 EARTH_RADIUS_M = 6_371_000.0  # mean earth radius
 TWO_PI = 2.0 * np.pi
@@ -51,8 +49,8 @@ def bearing_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
 
     Measured clockwise from true north, normalized to [0, 2*pi).
     Accepts scalars or broadcastable arrays. The bearing at a coincident
-    point is not meaningful; callers wanting an error should use
-    :func:`azimuth`.
+    point is not meaningful; ``accuracy.accuracy_arrays`` rejects a query
+    on a transmitter site before it asks for one.
     """
     lat1 = np.radians(lat1_deg)
     lat2 = np.radians(lat2_deg)
@@ -63,15 +61,3 @@ def bearing_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     # mod can round a tiny negative up to exactly 2*pi; fold it back to 0
     return np.where(b >= TWO_PI, 0.0, b)
 
-
-def azimuth(user: GeoPoint, tx: GeoPoint) -> float:
-    """Initial bearing from the user toward a transmitter, clockwise from north.
-
-    Raises CoincidentPointsError when the two points are identical, where
-    the azimuth is undefined.
-    """
-    if user.lat_deg == tx.lat_deg and user.lon_deg == tx.lon_deg:
-        raise CoincidentPointsError(
-            f"azimuth undefined between coincident points ({user.lat_deg}, {user.lon_deg})"
-        )
-    return float(bearing_rad(user.lat_deg, user.lon_deg, tx.lat_deg, tx.lon_deg))

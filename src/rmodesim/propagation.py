@@ -46,21 +46,18 @@ def wavelength_m(carrier_hz: float) -> float:
 
 @dataclass(frozen=True)
 class TransmitterStation:
-    """A transmitter: identity, site, radiated power, carrier, and jitter."""
+    """A transmitter: identity, site, radiated power and carrier; its jitter J_i lives in ModelParams."""
 
     station_id: str
     position: GeoPoint
     power_w: float
     carrier_hz: float
-    jitter_m: float = 0.0
 
     def __post_init__(self):
         if not self.power_w > 0.0:
             raise ValueError(f"power_w must be > 0, got {self.power_w}")
         if not self.carrier_hz > 0.0:
             raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
-        if self.jitter_m < 0.0:
-            raise ValueError(f"jitter_m must be >= 0, got {self.jitter_m}")
 
     @property
     def wavelength_m(self) -> float:

@@ -14,16 +14,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignError,
-    InsufficientSamplesError,
-    NonpositiveSnrError,
-    UnknownStationError,
-)
+from .errors import DegenerateDesignError, InsufficientSamplesError
 from .ingest import VarianceSample
 from .nnls import nnls
 
@@ -60,25 +55,6 @@ class FitReport:
 def toa_variance_m2(jitter_m, c_m, snr_linear):
     """The model's TOA variance J^2 + C^2/SNR in m^2, elementwise over arrays."""
     return jitter_m * jitter_m + c_m * c_m / snr_linear
-
-
-def predict_sigma2(params: ModelParams, station_id: str, snr_linear: float) -> float:
-    """Predicted TOA variance in m^2 for one station at a linear SNR."""
-    if station_id not in params.jitter_m:
-        raise UnknownStationError(f"no jitter parameter for station {station_id!r}")
-    if not snr_linear > 0.0:
-        raise NonpositiveSnrError(f"snr_linear must be > 0, got {snr_linear}")
-    return toa_variance_m2(params.jitter_m[station_id], params.c_m, snr_linear)
-
-
-def residual_rss(params: ModelParams, samples: Sequence[VarianceSample]) -> float:
-    """Residual sum of squares, in m^4, of the model against samples."""
-    return float(
-        sum(
-            (s.toa_var_m2 - predict_sigma2(params, s.station_id, s.snr_linear)) ** 2
-            for s in samples
-        )
-    )
 
 
 def fit_params(

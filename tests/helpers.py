@@ -192,9 +192,10 @@ def loop_fit_params(samples, trim_fraction=0.0):
     are distinct within each station it must agree with ``fit_params`` bit
     for bit, errors included.
     """
-    from rmodesim import FitReport, ModelParams, predict_sigma2
+    from rmodesim import FitReport, ModelParams
     from rmodesim.errors import DegenerateDesignError, InsufficientSamplesError
     from rmodesim.nnls import nnls
+    from rmodesim.variance_model import toa_variance_m2
 
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError(f"trim_fraction must be in [0, 1), got {trim_fraction}")
@@ -244,7 +245,7 @@ def loop_fit_params(samples, trim_fraction=0.0):
     rss_by_station = {sid: 0.0 for sid in station_ids}
     for s in rows:
         n_samples[s.station_id] += 1
-        r = s.toa_var_m2 - predict_sigma2(params, s.station_id, s.snr_linear)
+        r = s.toa_var_m2 - toa_variance_m2(params.jitter_m[s.station_id], params.c_m, s.snr_linear)
         rss_by_station[s.station_id] += r * r
     report = FitReport(
         rss_m4=float(sum(rss_by_station.values())),
@@ -253,6 +254,15 @@ def loop_fit_params(samples, trim_fraction=0.0):
         n_trimmed=n_before - len(rows),
     )
     return params, report
+
+
+def loop_rss_m4(params, samples):
+    """The model's residual sum of squares in m^4 against samples, one sample at a time."""
+    from rmodesim.variance_model import toa_variance_m2
+
+    return float(
+        sum((s.toa_var_m2 - toa_variance_m2(params.jitter_m[s.station_id], params.c_m, s.snr_linear)) ** 2 for s in samples)
+    )
 
 
 def loop_parse_measurement_file(path):

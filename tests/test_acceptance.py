@@ -307,7 +307,7 @@ def test_criterion_8_coverage_monotonicity_in_power():
     for i, bearing in enumerate([15.0, 135.0, 255.0]):
         lat, lon = destination_point(36.0, 127.0, math.radians(bearing), 200_000.0)
         stations.append(
-            TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3, 0.0)
+            TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3)
         )
     params = ModelParams({tx.station_id: 0.0 for tx in stations}, TRUE_C)
     prop = ParametricPropagation(ref_field_dbuv_m=109.5, atten_db_per_km=0.03)
@@ -324,7 +324,7 @@ def test_criterion_8_coverage_monotonicity_in_power():
     for idx, tx in enumerate(stations):
         boosted = list(stations)
         boosted[idx] = TransmitterStation(
-            tx.station_id, tx.position, 2.0 * tx.power_w, tx.carrier_hz, tx.jitter_m
+            tx.station_id, tx.position, 2.0 * tx.power_w, tx.carrier_hz
         )
         new = compute_coverage(spec, boosted, params, prop, noise, -15.0)
         n_new = int((new.mask == "").sum())

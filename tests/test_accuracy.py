@@ -18,7 +18,7 @@ from rmodesim import (
     covariance,
 )
 from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
-from rmodesim.errors import CoincidentPointsError, SingularGeometryError, TooFewStationsError
+from rmodesim.errors import CoincidentPointsError, SingularGeometryError, TooFewStationsError, UnknownStationError
 
 from helpers import destination_point, mc_wls_horizontal_cov
 
@@ -155,7 +155,7 @@ class TestAccuracyAt:
         for i, b in enumerate(bearings_deg):
             lat, lon = destination_point(0.0, 0.0, math.radians(b), distance_m)
             stations.append(
-                TransmitterStation(f"s{i}", GeoPoint(lat, lon), power_w, 300e3, 0.0)
+                TransmitterStation(f"s{i}", GeoPoint(lat, lon), power_w, 300e3)
             )
         return stations
 
@@ -183,7 +183,7 @@ class TestAccuracyAt:
         stations = self.place_stations([0.0, 120.0, 240.0], 150_000.0)
         # push one station below threshold with a long lever arm
         far_lat, far_lon = destination_point(0.0, 0.0, math.radians(240.0), 4_000_000.0)
-        stations[2] = TransmitterStation("s2", GeoPoint(far_lat, far_lon), 300.0, 300e3, 0.0)
+        stations[2] = TransmitterStation("s2", GeoPoint(far_lat, far_lon), 300.0, 300e3)
         params = ModelParams({tx.station_id: 0.0 for tx in stations}, self.params_c)
         noise = NoiseSpec(level_dbuv_m=40.0)
         res = accuracy_at(self.center, stations, params, self.prop, noise, -15.0)
@@ -194,7 +194,7 @@ class TestAccuracyAt:
         stations = []
         for i, d in enumerate([100_000.0, 200_000.0, 300_000.0]):
             lat, lon = destination_point(0.0, 0.0, 0.0, d)  # all due north
-            stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3, 0.0))
+            stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3))
         params = ModelParams({tx.station_id: 0.0 for tx in stations}, self.params_c)
         res = accuracy_at(
             self.center, stations, params, self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0
@@ -211,6 +211,12 @@ class TestAccuracyAt:
             counts.append(res.usable_count)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    def test_station_without_jitter_rejected(self):
+        stations = self.place_stations([0.0, 120.0, 240.0], 150_000.0)
+        params = ModelParams({"s0": 0.0, "s1": 0.0}, self.params_c)
+        with pytest.raises(UnknownStationError, match="no jitter parameter for station 's2'"):
+            accuracy_at(self.center, stations, params, self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0)
+
     def test_empty_stations_rejected(self):
         params = ModelParams({}, 1.0)
         with pytest.raises(ValueError):
@@ -221,9 +227,9 @@ class TestTransmitterSite:
     """A query on a transmitter site has no azimuth to that station."""
 
     stations = [
-        TransmitterStation("a", GeoPoint(0.0, 0.0), 300.0, 300e3, 0.0),
-        TransmitterStation("b", GeoPoint(1.0, 1.5), 300.0, 300e3, 0.0),
-        TransmitterStation("c", GeoPoint(-1.0, 1.0), 300.0, 300e3, 0.0),
+        TransmitterStation("a", GeoPoint(0.0, 0.0), 300.0, 300e3),
+        TransmitterStation("b", GeoPoint(1.0, 1.5), 300.0, 300e3),
+        TransmitterStation("c", GeoPoint(-1.0, 1.0), 300.0, 300e3),
     ]
     params = ModelParams({"a": 0.0, "b": 0.0, "c": 0.0}, 22.15)
     noise = NoiseSpec(level_dbuv_m=40.0)

@@ -417,3 +417,41 @@ def test_point_on_a_transmitter_site_exit_2(config_factory, tmp_path, capsys, co
     assert code == 2
     assert "site of station 's0'" in err and out == ""
     assert not (tmp_path / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--threads", "2", "s0.csv"],
+        ["accuracy", "--seed", "1", "--lat", "36.0", "--lon", "127.0"],
+        ["coverage", "--seed", "1"],
+        ["synth", "--format", "csv", "--out-dir", "logs"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[1]}",
+)
+def test_option_of_another_subcommand_exit_2(config_factory, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(config_factory()), *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+def test_each_subcommand_takes_its_own_options(config_factory, tmp_path, capsys):
+    config = str(config_factory())
+    code, _, err = run(capsys, "synth", "--config", config, "--out-dir", str(tmp_path / "logs"),
+                       "--seed", "1", "--windows", "5")
+    assert code == 0, err
+    logs = sorted(map(str, (tmp_path / "logs").glob("*.csv")))
+    assert run(capsys, "fit", "--config", config, *logs, "--format", "csv")[0] == 0
+    assert run(capsys, "coverage", "--config", config, "--threads", "2", "--format", "csv")[0] == 0
+
+
+def test_reserved_station_id_exit_2(config_factory, tmp_path, capsys):
+    def mutate(cfg):
+        cfg["stations"][0]["id"] = "C"
+
+    code, out, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
+    assert code == 2
+    assert "stations[0].id" in err and out == ""
+    assert not (tmp_path / "coverage.csv").exists()

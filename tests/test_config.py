@@ -182,3 +182,29 @@ def test_defaults_applied(config_factory):
     assert cfg.snr_threshold_db == -15.0
     assert cfg.fit.window_len == 100
     assert cfg.outputs.coverage_csv == "coverage.csv"
+
+
+def test_negative_jitter_rejected(config_factory):
+    def mutate(cfg):
+        cfg["stations"][0]["jitter_m"] = -1.0
+
+    with pytest.raises(ConfigError, match=r"^stations\[0\]: jitter_m must be >= 0, got -1\.0$"):
+        load_config(config_factory(mutate=mutate))
+
+
+def test_station_jitter_seeds_the_model(config_factory):
+    def mutate(cfg):
+        cfg["stations"][1]["jitter_m"] = 1.41
+        del cfg["stations"][2]["jitter_m"]
+
+    cfg = load_config(config_factory(mutate=mutate))
+    assert list(cfg.params.jitter_m.items()) == [("s0", 0.0), ("s1", 1.41), ("s2", 0.0)]
+
+
+def test_reserved_station_id_rejected(config_factory):
+    # the fit report's footer row and the fit's stdout name the shared constant C
+    def mutate(cfg):
+        cfg["stations"][2]["id"] = "C"
+
+    with pytest.raises(ConfigError, match=r"^stations\[2\]\.id: 'C' is reserved"):
+        load_config(config_factory(mutate=mutate))

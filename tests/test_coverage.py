@@ -39,7 +39,7 @@ def three_stations(center_lat=36.0, center_lon=127.0, distance_m=200_000.0):
     stations = []
     for i, b in enumerate([15.0, 135.0, 255.0]):
         lat, lon = destination_point(center_lat, center_lon, math.radians(b), distance_m)
-        stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3, 0.0))
+        stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3))
     return stations
 
 
@@ -218,7 +218,7 @@ class TestComputeCoverage:
             boosted = list(stations)
             tx = stations[idx]
             boosted[idx] = TransmitterStation(
-                tx.station_id, tx.position, 2.0 * tx.power_w, tx.carrier_hz, tx.jitter_m
+                tx.station_id, tx.position, 2.0 * tx.power_w, tx.carrier_hz
             )
             new = compute_coverage(spec, boosted, params, prop, noise, -15.0)
             assert (new.mask == "").sum() >= (base.mask == "").sum()
@@ -235,10 +235,10 @@ EQUATOR_SITES = ((0.0, -0.6137), (0.0, 0.2071), (0.0, 1.0213))
 
 def equator_scenario(kind, noise_dbuv_m, jitters, c_m, seed):
     stations = [
-        TransmitterStation(f"e{i}", GeoPoint(lat, lon), 300.0 + 100.0 * i, 300e3, j)
-        for i, ((lat, lon), j) in enumerate(zip(EQUATOR_SITES, jitters))
+        TransmitterStation(f"e{i}", GeoPoint(lat, lon), 300.0 + 100.0 * i, 300e3)
+        for i, (lat, lon) in enumerate(EQUATOR_SITES)
     ]
-    params = ModelParams({tx.station_id: tx.jitter_m for tx in stations}, c_m)
+    params = ModelParams({tx.station_id: j for tx, j in zip(stations, jitters)}, c_m)
     prop = ParametricPropagation(ref_field_dbuv_m=109.5, atten_db_per_km=0.03)
     if kind == "parametric":
         return stations, params, prop, NoiseSpec(level_dbuv_m=noise_dbuv_m)
@@ -351,7 +351,7 @@ class TestCsvOutput:
         stations = []
         for i in range(300):
             lat, lon = destination_point(36.0, 127.0, math.radians(1.2 * i), 200_000.0)
-            stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3, 0.0))
+            stations.append(TransmitterStation(f"s{i}", GeoPoint(lat, lon), 300.0, 300e3))
         params = ModelParams({tx.station_id: 1.0 for tx in stations}, 22.15)
         _, _, prop, noise = scenario()
         spec = GridSpec(35.875, 36.125, 126.875, 127.125, 0.25)

@@ -230,3 +230,15 @@ def test_long_line_check():
     assert rmodesim._table._has_long_line(b"abcd\nabcde\nab", 4)
     assert rmodesim._table._has_long_line(b"abcd\n" * 5 + b"abcde", 4)
     assert rmodesim._table._has_long_line(b"abcde", 4)
+
+
+@pytest.mark.parametrize("bad_line", [3, 4])
+def test_parse_error_names_the_file_line_after_a_record_that_spans_lines(tmp_path, bad_line):
+    # the quoted station id on lines 2-3 is one record; a bad record gives the line it ends on
+    lines = [LOG_HEADER, '0,"a', 'b",0.5,10', "1,c,0.5,10"]
+    lines[bad_line - 1] = lines[bad_line - 1].replace("0.5", "zzz")
+    path = tmp_path / "log.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    with pytest.raises(ParseError, match=f"row {bad_line}: non-numeric field") as exc:
+        parse_measurement_file(path)
+    assert exc.value.row == bad_line

@@ -32,3 +32,11 @@ def test_readme_export_list_matches_the_package():
     listed = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", block))
     public = [name for name, value in vars(rmodesim).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(listed) == sorted(public)
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    code = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    code = code.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README quickstart", "exec"), {})
+    assert (tmp_path / "coverage.csv").stat().st_size > 0

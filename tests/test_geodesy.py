@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmodesim import EARTH_RADIUS_M, GeoPoint, azimuth
-from rmodesim.errors import CoincidentPointsError
+from rmodesim import EARTH_RADIUS_M, GeoPoint
 from rmodesim.geodesy import bearing_rad, haversine_m
 
 from helpers import destination_point, tangent_plane_bearing_rad, vincenty_distance_m
@@ -35,16 +34,15 @@ def test_distance_symmetry(lat1, lon1, lat2, lon2):
 
 
 def test_cardinal_azimuths():
-    origin = GeoPoint(0.0, 0.0)
-    assert azimuth(origin, GeoPoint(1.0, 0.0)) == 0.0  # due north
-    assert azimuth(origin, GeoPoint(0.0, 1.0)) == pytest.approx(math.pi / 2.0, abs=1e-15)
-    assert azimuth(origin, GeoPoint(-1.0, 0.0)) == pytest.approx(math.pi, abs=1e-15)
-    assert azimuth(origin, GeoPoint(0.0, -1.0)) == pytest.approx(3.0 * math.pi / 2.0, abs=1e-15)
+    assert bearing_rad(0.0, 0.0, 1.0, 0.0) == 0.0  # due north
+    assert bearing_rad(0.0, 0.0, 0.0, 1.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
+    assert bearing_rad(0.0, 0.0, -1.0, 0.0) == pytest.approx(math.pi, abs=1e-15)
+    assert bearing_rad(0.0, 0.0, 0.0, -1.0) == pytest.approx(3.0 * math.pi / 2.0, abs=1e-15)
 
 
 def test_diagonal_azimuth_against_tangent_plane_oracle():
     # value frozen from the oracle below: 0.7853220051761581 rad
-    az = azimuth(GeoPoint(0.0, 0.0), GeoPoint(1.0, 1.0))
+    az = float(bearing_rad(0.0, 0.0, 1.0, 1.0))
     assert az == pytest.approx(0.7853220051761581, abs=1e-4)
     oracle = tangent_plane_bearing_rad(0.0, 0.0, 1.0, 1.0)
     assert az == pytest.approx(oracle, abs=1e-12)
@@ -119,9 +117,8 @@ def test_reciprocal_azimuth_small_separation():
         bearing = rng.uniform(0.0, 2.0 * math.pi)
         dist = rng.uniform(100.0, 10_000.0)
         lat2, lon2 = destination_point(lat, lon, bearing, dist)
-        u, t = GeoPoint(lat, lon), GeoPoint(lat2, lon2)
-        fwd = azimuth(u, t)
-        back = azimuth(t, u)
+        fwd = float(bearing_rad(lat, lon, lat2, lon2))
+        back = float(bearing_rad(lat2, lon2, lat, lon))
         diff = abs((fwd - (back - math.pi)) % (2.0 * math.pi))
         diff = min(diff, 2.0 * math.pi - diff)
         convergence = (dist / EARTH_RADIUS_M) * math.tan(
@@ -130,12 +127,6 @@ def test_reciprocal_azimuth_small_separation():
         assert diff <= 1.1 * convergence + 1e-6
         if abs(lat) <= 30.0:
             assert diff < 1e-3
-
-
-def test_coincident_points_raise():
-    p = GeoPoint(10.0, 20.0)
-    with pytest.raises(CoincidentPointsError):
-        azimuth(p, GeoPoint(10.0, 20.0))
 
 
 def test_geopoint_validation():
@@ -153,4 +144,4 @@ def test_array_paths_match_scalar():
     b = bearing_rad(lats, lons, 15.0, 10.0)
     for i in range(3):
         assert d[i] == haversine_m(lats[i], lons[i], 15.0, 10.0)
-        assert b[i] == azimuth(GeoPoint(lats[i], lons[i]), GeoPoint(15.0, 10.0))
+        assert b[i] == bearing_rad(lats[i], lons[i], 15.0, 10.0)

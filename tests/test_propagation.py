@@ -27,7 +27,7 @@ from rmodesim.propagation import SPEED_OF_LIGHT_M_S, field_strength_dbuv_m
 
 
 def make_tx(power_w=300.0, lat=0.0, lon=0.0, sid="tx"):
-    return TransmitterStation(sid, GeoPoint(lat, lon), power_w, 300_000.0, 0.0)
+    return TransmitterStation(sid, GeoPoint(lat, lon), power_w, 300_000.0)
 
 
 class TestParametric:
@@ -343,10 +343,8 @@ def test_wavelength():
 
 def test_station_validation():
     with pytest.raises(ValueError):
-        TransmitterStation("s", GeoPoint(0, 0), 0.0, 300e3, 0.0)
+        TransmitterStation("s", GeoPoint(0, 0), 0.0, 300e3)
     with pytest.raises(ValueError):
-        TransmitterStation("s", GeoPoint(0, 0), 100.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        TransmitterStation("s", GeoPoint(0, 0), 100.0, 300e3, -1.0)
-    tx = TransmitterStation("s", GeoPoint(0, 0), 100.0, 300e3, 1.41)
+        TransmitterStation("s", GeoPoint(0, 0), 100.0, 0.0)
+    tx = TransmitterStation("s", GeoPoint(0, 0), 100.0, 300e3)
     assert tx.wavelength_m == pytest.approx(999.308, abs=1e-3)

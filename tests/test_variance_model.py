@@ -7,22 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmodesim import (
-    ModelParams,
-    VarianceSample,
-    fit_params,
-    predict_sigma2,
-    residual_rss,
-    write_fit_report_csv,
-)
-from rmodesim.errors import (
-    DegenerateDesignError,
-    InsufficientSamplesError,
-    NonpositiveSnrError,
-    UnknownStationError,
-)
+from rmodesim import ModelParams, VarianceSample, fit_params, write_fit_report_csv
+from rmodesim.errors import DegenerateDesignError, InsufficientSamplesError
+from rmodesim.variance_model import toa_variance_m2
 
-from helpers import grid_search_single_station, loop_fit_params
+from helpers import grid_search_single_station, loop_fit_params, loop_rss_m4
 
 
 def make_samples(jitter_by_station, c_m, snr_values, noise=None):
@@ -38,34 +27,21 @@ def make_samples(jitter_by_station, c_m, snr_values, noise=None):
 
 class TestPredict:
     def test_published_parameter_example(self):
-        params = ModelParams({"chungju": 1.41}, 22.15)
         # 1.41^2 + 22.15^2/100 = 1.9881 + 4.906225
-        assert predict_sigma2(params, "chungju", 100.0) == pytest.approx(6.8943, abs=1e-4)
+        assert toa_variance_m2(1.41, 22.15, 100.0) == pytest.approx(6.8943, abs=1e-4)
 
     def test_zero_jitter_at_unity_snr(self):
-        params = ModelParams({"s": 0.0}, 22.15)
-        assert predict_sigma2(params, "s", 1.0) == pytest.approx(490.62, abs=0.01)
+        assert toa_variance_m2(0.0, 22.15, 1.0) == pytest.approx(490.62, abs=0.01)
 
     def test_vanishes_at_high_snr_with_zero_jitter(self):
-        params = ModelParams({"s": 0.0}, 22.15)
-        assert predict_sigma2(params, "s", 1e12) == pytest.approx(0.0, abs=1e-6)
+        assert toa_variance_m2(0.0, 22.15, 1e12) == pytest.approx(0.0, abs=1e-6)
 
     def test_strictly_decreasing_in_snr_when_c_positive(self):
-        params = ModelParams({"s": 1.0}, 5.0)
         snrs = np.linspace(0.5, 200.0, 100)
-        vals = [predict_sigma2(params, "s", s) for s in snrs]
-        assert np.all(np.diff(vals) < 0.0)
+        assert np.all(np.diff(toa_variance_m2(1.0, 5.0, snrs)) < 0.0)
 
     def test_constant_in_snr_when_c_zero(self):
-        params = ModelParams({"s": 2.0}, 0.0)
-        assert predict_sigma2(params, "s", 1.0) == predict_sigma2(params, "s", 1e6) == 4.0
-
-    def test_errors(self):
-        params = ModelParams({"s": 1.0}, 5.0)
-        with pytest.raises(UnknownStationError):
-            predict_sigma2(params, "other", 10.0)
-        with pytest.raises(NonpositiveSnrError):
-            predict_sigma2(params, "s", 0.0)
+        assert toa_variance_m2(2.0, 0.0, 1.0) == toa_variance_m2(2.0, 0.0, 1e6) == 4.0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -140,7 +116,7 @@ class TestFit:
         def rss_of(vec):
             p = ModelParams({s: math.sqrt(max(v, 0.0)) for s, v in zip(sids, vec[:-1])},
                             math.sqrt(max(vec[-1], 0.0)))
-            return residual_rss(p, samples)
+            return loop_rss_m4(p, samples)
 
         scale = max(report.rss_m4, 1.0)
         h = 1e-5 * max(1.0, float(np.abs(coeffs).max()))
@@ -168,7 +144,7 @@ class TestFit:
                 {s: abs(v + rng.normal(0.0, 0.2)) for s, v in params.jitter_m.items()},
                 abs(params.c_m + rng.normal(0.0, 0.2)),
             )
-            assert residual_rss(perturbed, samples) >= report.rss_m4 - 1e-9 * max(report.rss_m4, 1.0)
+            assert loop_rss_m4(perturbed, samples) >= report.rss_m4 - 1e-9 * max(report.rss_m4, 1.0)
 
     def test_matches_grid_search_oracle_single_station(self):
         rng = np.random.default_rng(12)
@@ -262,18 +238,6 @@ def tie_free_samples(draw):
 @given(tie_free_samples(), st.floats(0.0, 0.9))
 def test_fit_matches_loop_reference_bit_for_bit(samples, trim_fraction):
     assert _outcome(fit_params, samples, trim_fraction) == _outcome(loop_fit_params, samples, trim_fraction)
-
-
-class TestResidualRss:
-    def test_perfect_fit_gives_zero(self):
-        params = ModelParams({"s": 1.0}, 10.0)
-        samples = make_samples({"s": 1.0}, 10.0, np.linspace(1.0, 50.0, 20))
-        assert residual_rss(params, samples) == 0.0
-
-    def test_unit_offset_gives_unit_rss(self):
-        params = ModelParams({"s": 0.0}, 10.0)
-        samples = [VarianceSample("s", 10.0, 10.0 + 1.0)]
-        assert residual_rss(params, samples) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_fit_report_csv_schema(tmp_path):
