@@ -14,6 +14,17 @@ rotation invariant); the formulas hold verbatim for any N >= 3 stations.
 
 ``accuracy_arrays`` holds the rules once, batched over points; the point
 query ``accuracy_at`` and the coverage sweep both call it.
+
+A geometry is singular when its normal matrix's 2-norm condition number,
+|lambda_max / lambda_min| as ``np.linalg.eigvalsh`` gives it, exceeds
+``CONDITION_LIMIT`` or is undefined. The number is estimated in closed form:
+lambda_max and lambda_mid from Smith's trigonometric eigenvalues of a
+symmetric 3x3 (O. K. Smith, "Eigenvalues of a symmetric 3 x 3 matrix",
+CACM 4(4):168, 1961), lambda_min as det / (lambda_max * lambda_mid) from the
+adjugate's determinant. A cell is handed to ``eigvalsh`` when its estimate
+is not finite, when lambda_mid is too small to resolve, or when it lies
+within 5% of the limit, a band widened by the determinant's rounding error
+bound; so the flags equal the ``eigvalsh`` test's on every cell.
 """
 
 from __future__ import annotations
@@ -39,6 +50,37 @@ MASK_TOO_FEW_STATIONS = "TooFewStations"
 MASK_SINGULAR_GEOMETRY = "SingularGeometry"
 MASK_REASONS = ("", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY)  # indexed by mask code
 _EYE = np.eye(3)
+# The adjugate det is off by up to about 15 eps * lambda_max^3 from rounding;
+# _DET_ERROR bounds that with a margin. The trigonometric lambda_mid is not
+# resolved below _SMALL_MID * lambda_max.
+_CHECK_BAND = 0.05
+_DET_ERROR = 64 * np.finfo(float).eps
+_SMALL_MID = 1e-6
+
+
+def _singular(a, b, c, d, e, f, det):
+    """Where the symmetric 3x3 [[a, b, c], [b, d, e], [c, e, f]] is singular (see the module docstring).
+
+    Runs under the caller's ``np.errstate``, which must ignore division by
+    zero and invalid values.
+    """
+    q = (a + d + f) / 3.0
+    aq, dq, fq = a - q, d - q, f - q
+    p = np.sqrt((aq * aq + dq * dq + fq * fq + 2.0 * (b * b + c * c + e * e)) / 6.0)
+    r = (aq * (dq * fq - e * e) - b * (b * fq - c * e) + c * (b * e - c * dq)) / (2.0 * p * p * p)
+    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
+    lam_max = q + 2.0 * p * np.cos(phi)
+    lam_mid = 3.0 * q - lam_max - (q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))  # trace - largest - smallest
+    cond = np.abs(lam_max / (det / (lam_max * lam_mid)))
+    doubt = _CHECK_BAND + _DET_ERROR * lam_max**3 / np.abs(det)
+    # ~(x > y) is also True where x or y is NaN
+    check = ~(np.abs(cond / CONDITION_LIMIT - 1.0) > doubt) | ~(lam_mid > _SMALL_MID * lam_max)
+    singular = np.array(~(cond <= CONDITION_LIMIT))  # 0-d stays assignable
+    if check.any():
+        m = np.array([a[check], b[check], c[check], b[check], d[check], e[check], c[check], e[check], f[check]])
+        lam = np.abs(np.linalg.eigvalsh(m.T.reshape(-1, 3, 3)))
+        singular[check] = ~(lam[:, -1] / lam[:, 0] <= CONDITION_LIMIT)
+    return singular
 
 
 def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
@@ -46,27 +88,17 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
 
     ``az_rad`` and ``weights`` share shape (S, ...); a zero weight drops a
     station. A cell is singular when the normal matrix's 2-norm condition
-    number is above ``CONDITION_LIMIT`` or undefined; its inverse is then
-    that of the identity, so that no warning escapes. Returns the
-    inverses, shape (..., 3, 3), and the singular flags, shape (...).
+    number is above ``CONDITION_LIMIT`` or undefined (see ``_singular``);
+    its inverse is then the identity. Returns the inverses, shape
+    (..., 3, 3), and the singular flags, shape (...).
     """
-    c, s = np.cos(az_rad), np.sin(az_rad)
-    wc, ws = weights * c, weights * s
-    m = np.empty(az_rad.shape[1:] + (3, 3))
-    m[..., 0, 0] = (wc * c).sum(axis=0)
-    m[..., 0, 1] = m[..., 1, 0] = (wc * s).sum(axis=0)
-    m[..., 0, 2] = m[..., 2, 0] = wc.sum(axis=0)
-    m[..., 1, 1] = (ws * s).sum(axis=0)
-    m[..., 1, 2] = m[..., 2, 1] = ws.sum(axis=0)
-    m[..., 2, 2] = weights.sum(axis=0)
-    lam = np.abs(np.linalg.eigvalsh(m))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        singular = ~(lam[..., -1] / lam[..., 0] <= CONDITION_LIMIT)
-    m[singular] = _EYE
+    cos, sin = np.cos(az_rad), np.sin(az_rad)
+    wc, ws = weights * cos, weights * sin
+    # the normal matrix [[a, b, c], [b, d, e], [c, e, f]]
+    a, b, c = (wc * cos).sum(axis=0), (wc * sin).sum(axis=0), wc.sum(axis=0)
+    d, e, f = (ws * sin).sum(axis=0), ws.sum(axis=0), weights.sum(axis=0)
 
     # adjugate inverse of a symmetric 3x3
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
     cof00 = d * f - e * e
     cof01 = c * e - b * f
     cof02 = b * e - c * d
@@ -74,13 +106,12 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
     cof12 = b * c - a * e
     cof22 = a * d - b * b
     det = a * cof00 + b * cof01 + c * cof02
-    k = np.empty_like(m)
-    k[..., 0, 0] = cof00 / det
-    k[..., 0, 1] = k[..., 1, 0] = cof01 / det
-    k[..., 0, 2] = k[..., 2, 0] = cof02 / det
-    k[..., 1, 1] = cof11 / det
-    k[..., 1, 2] = k[..., 2, 1] = cof12 / det
-    k[..., 2, 2] = cof22 / det
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = _singular(a, b, c, d, e, f, det)
+        k = np.array([cof00, cof01, cof02, cof01, cof11, cof12, cof02, cof12, cof22])
+        k /= det
+    k = k.transpose(*range(1, k.ndim), 0).reshape(det.shape + (3, 3))  # a view, matrix axes last
+    k[singular] = _EYE
     return k, singular
 
 

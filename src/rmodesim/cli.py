@@ -246,7 +246,10 @@ def cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error (printed) and 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except GridTooLargeError as exc:

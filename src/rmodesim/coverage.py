@@ -23,10 +23,12 @@ from .variance_model import ModelParams
 # A grid holds about 10 B/cell (8 accuracy, 1 mask code, 1-2 count), so
 # the limit keeps a map's arrays near 100 MB.
 CELL_LIMIT = 10_000_000
-# Cells per kernel call, in whole rows: big enough to amortise the call,
-# small enough that the kernel's ~560 B/cell of temporaries (the per-station
-# SNR among them) stay a few MiB per worker and are never held grid-wide.
-_BLOCK_CELLS = 2500
+# Cells per kernel call, in whole rows: big enough to amortise the call and
+# to let two workers overlap, small enough that the kernel's temporaries
+# (a tracemalloc peak of about 420 B/cell with three stations, the
+# per-station arrays among them) stay near 2 MiB per worker and are never
+# held grid-wide.
+_BLOCK_CELLS = 5000
 _MASK_STRINGS = np.array(MASK_REASONS, dtype="<U16")
 
 
@@ -172,16 +174,27 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
     and accuracy carry six fractional digits, a masked cell has an empty
     accuracy field and the mask reason, an unmasked cell an empty mask.
     """
-    # csv.writer's QUOTE_MINIMAL framing, joined by hand one row at a time
-    # (no field can hold a comma, quote or newline; tolist() per row only)
+    # csv.writer's QUOTE_MINIMAL framing (no field can hold a comma, quote
+    # or newline), one % template per row: each cell's piece is picked by
+    # its mask code, and the row's accuracies and counts fill it in one go.
+    # "%.6f" rounds as f"{a:.6f}" does. The values sit in an object array,
+    # so they reach % as Python floats and ints.
     lon_strs = [f"{lon:.6f}" for lon in grid.lon_deg.tolist()]
+    pieces = np.array(
+        [[f"{lon},%.6f,%d,\r\n" for lon in lon_strs]]
+        + [[f"{lon},,%d,{reason}\r\n" for lon in lon_strs] for reason in MASK_REASONS[1:]],
+        dtype=object,
+    )
+    cols = np.arange(len(lon_strs))
+    values = np.empty(2 * len(lon_strs), dtype=object)  # accuracy, count, accuracy, count, ...
+    keep = np.ones(values.size, dtype=bool)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("lat_deg,lon_deg,accuracy_m,usable_count,mask\r\n")
         rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask_code)
         for lat, acc, cnt, code in rows:
             pre = f"{lat:.6f},"
-            cells = zip(lon_strs, acc.tolist(), cnt.tolist(), _MASK_STRINGS[code].tolist())
-            f.write("".join(f"{pre}{lon},{'' if m else f'{a:.6f}'},{c},{m}\r\n" for lon, a, c, m in cells))
+            values[0::2], values[1::2], keep[0::2] = acc, cnt, code == 0
+            f.write((pre + pre.join(pieces[code, cols].tolist())) % tuple(values[keep].tolist()))
 
 
 def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None:

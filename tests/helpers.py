@@ -277,7 +277,9 @@ def loop_parse_measurement_file(path):
     columns = {}
     with open(path, newline="", encoding="utf-8") as f:
         header = None
-        for lineno, row in enumerate(csv.reader(f), start=1):
+        reader = csv.reader(f)
+        for row in reader:
+            lineno = reader.line_num  # the line a record ends on, when a quoted field spans lines
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if header is None:
@@ -387,7 +389,9 @@ def loop_load_field_grid(path):
     lats, lons, values = [], [], []
     with open(path, newline="", encoding="utf-8") as f:
         header = None
-        for lineno, row in enumerate(csv.reader(f), start=1):
+        reader = csv.reader(f)
+        for row in reader:
+            lineno = reader.line_num  # the line a record ends on, when a quoted field spans lines
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if header is None:
@@ -423,3 +427,46 @@ def loop_load_field_grid(path):
             "rows must be lat-major with both axes strictly increasing"
         )
     return FieldGrid(lat_axis, lon_axis, np.array(values).reshape(n_lat, n_lon))
+
+
+def eigvalsh_inverse_normal(az_rad, weights):
+    """``accuracy._inverse_normal`` as it was with the ``eigvalsh`` condition test, kept as a reference.
+
+    The closed-form condition check must give the same singular flags and,
+    on every cell that is not singular, the same inverse bit for bit.
+    """
+    from rmodesim.accuracy import CONDITION_LIMIT
+
+    _EYE = np.eye(3)
+    c, s = np.cos(az_rad), np.sin(az_rad)
+    wc, ws = weights * c, weights * s
+    m = np.empty(az_rad.shape[1:] + (3, 3))
+    m[..., 0, 0] = (wc * c).sum(axis=0)
+    m[..., 0, 1] = m[..., 1, 0] = (wc * s).sum(axis=0)
+    m[..., 0, 2] = m[..., 2, 0] = wc.sum(axis=0)
+    m[..., 1, 1] = (ws * s).sum(axis=0)
+    m[..., 1, 2] = m[..., 2, 1] = ws.sum(axis=0)
+    m[..., 2, 2] = weights.sum(axis=0)
+    lam = np.abs(np.linalg.eigvalsh(m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = ~(lam[..., -1] / lam[..., 0] <= CONDITION_LIMIT)
+    m[singular] = _EYE
+
+    # adjugate inverse of a symmetric 3x3
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
+    cof00 = d * f - e * e
+    cof01 = c * e - b * f
+    cof02 = b * e - c * d
+    cof11 = a * f - c * c
+    cof12 = b * c - a * e
+    cof22 = a * d - b * b
+    det = a * cof00 + b * cof01 + c * cof02
+    k = np.empty_like(m)
+    k[..., 0, 0] = cof00 / det
+    k[..., 0, 1] = k[..., 1, 0] = cof01 / det
+    k[..., 0, 2] = k[..., 2, 0] = cof02 / det
+    k[..., 1, 1] = cof11 / det
+    k[..., 1, 2] = k[..., 2, 1] = cof12 / det
+    k[..., 2, 2] = cof22 / det
+    return k, singular

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmodesim import (
     FieldGrid,
@@ -17,10 +19,11 @@ from rmodesim import (
     compute_coverage,
     covariance,
 )
-from rmodesim.accuracy import MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
+import rmodesim.accuracy as accuracy_module
+from rmodesim.accuracy import CONDITION_LIMIT, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
 from rmodesim.errors import CoincidentPointsError, SingularGeometryError, TooFewStationsError, UnknownStationError
 
-from helpers import destination_point, mc_wls_horizontal_cov
+from helpers import destination_point, eigvalsh_inverse_normal, mc_wls_horizontal_cov
 
 EQUIANGULAR = np.radians([0.0, 120.0, 240.0])
 
@@ -86,6 +89,97 @@ class TestCovariance:
             covariance(EQUIANGULAR, [1.0, 1.0])
         with pytest.raises(ValueError):
             covariance(EQUIANGULAR, [1.0, 0.0, 1.0])
+
+
+def eigvalsh_condition(az, w):
+    """The normal matrix's condition number as the eigvalsh test computes it, for one geometry."""
+    c, s = np.cos(az), np.sin(az)
+    wc, ws = w * c, w * s
+    b, cc, e = (wc * s).sum(), wc.sum(), ws.sum()
+    m = np.array([[(wc * c).sum(), b, cc], [b, (ws * s).sum(), e], [cc, e, w.sum()]])
+    lam = np.abs(np.linalg.eigvalsh(m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lam[-1] / lam[0]
+
+
+def degenerating_geometry(rng, family, n):
+    """Azimuths and weights of ``n`` stations as functions of t, singular at t = 0.
+
+    ``identical``: azimuths spread over t radians (rank 1 at t = 0).
+    ``opposite``: stations at theta and theta + pi, one of them moved by up
+    to t (rank 2 at t = 0). ``weak``: stations at theta and theta + pi plus
+    one elsewhere whose weight scales with t (rank 2 at t = 0).
+    """
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    w = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if family == "identical":
+        u = rng.uniform(0.0, 1.0, n)
+        return lambda t: (theta + t * u, w)
+    base = theta + math.pi * (np.arange(n) % 2)
+    if family == "opposite":
+        shift = np.where(np.arange(n) == n - 1, rng.uniform(-1.0, 1.0), 0.0)
+        return lambda t: (base + t * shift, w)
+    base[-1] = theta + rng.uniform(0.3, math.pi - 0.3)
+    return lambda t: (base, np.where(np.arange(n) == n - 1, t * w, w))
+
+
+def geometry_at_condition(geometry, target):
+    """The geometry whose eigvalsh condition number crosses ``target``, by bisection on log10 t."""
+    lo, hi = -18.0, 0.0  # log10 t: condition above the target at lo, below at hi
+    if not eigvalsh_condition(*geometry(1.0)) < target:
+        return geometry(1.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if eigvalsh_condition(*geometry(10.0 ** mid)) < target:
+            hi = mid
+        else:
+            lo = mid
+    return geometry(10.0 ** hi)
+
+
+class TestConditionCheck:
+    """The closed-form condition check against the eigvalsh test it replaced (kept in helpers)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 6),
+        zero_weight=st.integers(0, 2),
+        shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+    )
+    def test_flags_and_inverse_match_eigvalsh(self, seed, n, zero_weight, shape):
+        rng = np.random.default_rng(seed)
+        cells = []
+        for _ in range(math.prod(shape)):
+            geometry = degenerating_geometry(rng, rng.choice(["identical", "opposite", "weak"]), n)
+            kind = rng.choice(["near_limit", "exact", "any"])
+            if kind == "near_limit":
+                az, w = geometry_at_condition(geometry, CONDITION_LIMIT * rng.uniform(0.9, 1.1))
+            else:
+                az, w = geometry(0.0 if kind == "exact" else 10.0 ** rng.uniform(-8.0, 0.0))
+            # stations that dropped out (below the SNR threshold) carry zero weight
+            cells.append((np.append(az, rng.uniform(0.0, 2.0 * math.pi, zero_weight)),
+                          np.append(w, np.zeros(zero_weight))))
+        az = np.stack([c[0] for c in cells], axis=-1).reshape((n + zero_weight,) + shape)
+        w = np.stack([c[1] for c in cells], axis=-1).reshape(az.shape)
+
+        k, singular = accuracy_module._inverse_normal(az, w)
+        k_ref, singular_ref = eigvalsh_inverse_normal(az, w)
+        assert singular.shape == singular_ref.shape == shape
+        assert np.array_equal(singular, singular_ref)
+        assert k.shape == shape + (3, 3)
+        assert k.tobytes() == k_ref.tobytes()
+
+    def test_eigvalsh_sees_only_doubtful_cells(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[:-2]) or eigvalsh(m))
+        rng = np.random.default_rng(5)
+        az = np.stack([random_geometry(rng, 4) for _ in range(200)], axis=-1)
+        _, singular = accuracy_module._inverse_normal(az, rng.uniform(0.1, 10.0, az.shape))
+        assert not singular.any() and seen == []
+        _, singular = accuracy_module._inverse_normal(np.full((3, 7), 0.3), np.ones((3, 7)))
+        assert singular.all() and seen == [(7,)]
 
 
 class TestAccuracy95:

@@ -430,11 +430,15 @@ def test_point_on_a_transmitter_site_exit_2(config_factory, tmp_path, capsys, co
     ids=lambda argv: f"{argv[0]} {argv[1]}",
 )
 def test_option_of_another_subcommand_exit_2(config_factory, tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--config", str(config_factory()), *argv[1:]])
-    assert exc.value.code == 2
+    assert main([argv[0], "--config", str(config_factory()), *argv[1:]]) == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["coverage", "--help"]], ids=["main", "coverage"])
+def test_help_prints_usage_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: rmodesim")
 
 
 def test_each_subcommand_takes_its_own_options(config_factory, tmp_path, capsys):

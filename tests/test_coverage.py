@@ -435,6 +435,28 @@ def negative_coordinate_grid():
     )
 
 
+def interleaved_mask_grid():
+    # every row cycles through the three mask codes cell by cell, from a
+    # different start; counts span a uint8 and accuracies round at the sixth
+    # digit or print 21 integer digits
+    spec = GridSpec(10.0, 10.4, -0.3, 0.3, 0.1)
+    shape = (spec.n_lat, spec.n_lon)
+    mask_code = ((np.arange(shape[0])[:, None] + np.arange(shape[1])[None, :]) % 3).astype(np.int8)
+    special = [2.5e-7, 5e-7, 1234.0000005, 1e20, 0.0, 999999.9999995, 0.1234565, 7.0]
+    accuracy = np.full(shape, np.nan)
+    accuracy[mask_code == 0] = np.resize(np.array(special), (mask_code == 0).sum())
+    count = np.resize(np.array([0, 255, 3, 17], dtype=np.uint8), shape)
+    return CoverageGrid(
+        spec=spec,
+        lat_deg=spec.lat_values(),
+        lon_deg=spec.lon_values(),
+        accuracy_m=accuracy,
+        usable_count=count,
+        mask_code=mask_code,
+        station_ids=["s0"],
+    )
+
+
 def strip_grid(n_lat, n_lon):
     stations, params, prop, noise = scenario()
     step = 0.1  # a single node along an axis needs an extent under one step
@@ -448,6 +470,7 @@ def strip_grid(n_lat, n_lon):
 WRITER_GRIDS = {
     "both_masks": shipped_grid_with_both_masks,
     "negative_coordinates": negative_coordinate_grid,
+    "interleaved_masks": interleaved_mask_grid,
     "one_row": lambda: strip_grid(1, 17),
     "one_column": lambda: strip_grid(17, 1),
 }

@@ -234,11 +234,17 @@ def test_long_line_check():
 
 @pytest.mark.parametrize("bad_line", [3, 4])
 def test_parse_error_names_the_file_line_after_a_record_that_spans_lines(tmp_path, bad_line):
-    # the quoted station id on lines 2-3 is one record; a bad record gives the line it ends on
-    lines = [LOG_HEADER, '0,"a', 'b",0.5,10', "1,c,0.5,10"]
-    lines[bad_line - 1] = lines[bad_line - 1].replace("0.5", "zzz")
-    path = tmp_path / "log.csv"
-    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
-    with pytest.raises(ParseError, match=f"row {bad_line}: non-numeric field") as exc:
-        parse_measurement_file(path)
-    assert exc.value.row == bad_line
+    # the quoted field on lines 2-3 is one record; a bad record gives the line
+    # it ends on, in each reader and in the row loop it is held to
+    cases = {
+        "lattice": ([GRID_HEADER, '"0.0', '",0.0,0.5', "0.0,1.0,0.5"], load_field_grid, loop_load_field_grid),
+        "log": ([LOG_HEADER, '0,"a', 'b",0.5,10', "1,c,0.5,10"], parse_measurement_file, loop_parse_measurement_file),
+    }
+    for kind, (lines, read, reference) in cases.items():
+        lines[bad_line - 1] = lines[bad_line - 1].replace("0.5", "zzz")
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+        with pytest.raises(ParseError, match=f"row {bad_line}: non-numeric field") as exc:
+            read(path)
+        assert exc.value.row == bad_line
+        assert outcome(read, path) == outcome(reference, path)
