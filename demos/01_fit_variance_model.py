@@ -74,7 +74,8 @@ rng = np.random.default_rng(7)
 
 
 def rss(p):
-    return sum((s.toa_var_m2 - toa_variance_m2(p.jitter_m[s.station_id], p.c_m, s.snr_linear)) ** 2 for s in samples)
+    # one window_variance record per sample: (station_id, snr_linear, toa_var_m2)
+    return sum((var - toa_variance_m2(p.jitter_m[sid], p.c_m, snr)) ** 2 for sid, snr, var in samples)
 
 
 fitted_rss = rss(params)

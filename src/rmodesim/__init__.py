@@ -28,8 +28,8 @@ from .coverage import (
 )
 from .geodesy import EARTH_RADIUS_M, GeoPoint
 from .ingest import (
+    WINDOW_DTYPE,
     StationLog,
-    VarianceSample,
     group_by_station,
     parse_measurement_file,
     unwrap_phase,

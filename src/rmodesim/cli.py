@@ -2,15 +2,16 @@
 
 Every subcommand takes ``--config`` pointing at a run configuration
 (see config module); outputs land next to the config file unless the
-configured paths are absolute. Exit codes: 0 success, 2 validation or
-parse failure, 3 fit degeneracy, insufficient data or NNLS non-convergence,
-4 resource limits.
+configured paths are absolute. Exit codes: 0 success, 1 stdout closed
+early, 2 validation or parse failure, 3 fit degeneracy, insufficient data
+or NNLS non-convergence, 4 resource limits.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .synth import synth_station_log, write_measurement_csv
 from .variance_model import fit_params, write_fit_report_csv
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_RESOURCE = 4
@@ -103,28 +105,18 @@ def cmd_fit(args) -> int:
     if unknown:
         raise ConfigError(f"measurements reference stations not in config: {unknown}")
 
-    samples = []
-    for sid in sorted(groups):
-        samples.extend(
-            window_variance(
-                groups[sid],
-                window_len=cfg.fit.window_len,
-                wavelength_m=by_id[sid].wavelength_m,
-                detrend=cfg.fit.detrend,
-            )
-        )
-    params, report = fit_params(samples, trim_fraction=cfg.fit.trim_fraction)
+    windows = [
+        window_variance(groups[sid], cfg.fit.window_len, by_id[sid].wavelength_m, cfg.fit.detrend)
+        for sid in sorted(groups)
+    ]
+    params, report = fit_params(np.concatenate(windows) if windows else [], cfg.fit.trim_fraction)
 
     report_path = _prepare(cfg.resolve(cfg.outputs.fit_report_csv))
     write_fit_report_csv(params, report, report_path)
     params_path = _prepare(cfg.resolve(cfg.outputs.params_yaml))
+    fitted = {"jitter_m": {k: float(v) for k, v in sorted(params.jitter_m.items())}, "c_m": float(params.c_m)}
     with open(params_path, "w", encoding="utf-8") as f:
-        yaml.safe_dump(
-            {"jitter_m": {k: float(v) for k, v in sorted(params.jitter_m.items())},
-             "c_m": float(params.c_m)},
-            f,
-            sort_keys=False,
-        )
+        yaml.safe_dump(fitted, f, sort_keys=False)
 
     if args.format == "csv":
         w = csv.writer(sys.stdout)
@@ -251,7 +243,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error (printed) and 0 after --help
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head -1`): devnull takes the rest, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -97,9 +97,13 @@ class _Section:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{self.where}.{key}: expected a number, got {v!r}")
-        if not math.isfinite(v):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
             raise ConfigError(f"{self.where}.{key}: expected a finite number, got {v!r}")
-        return float(v)
+        return x
 
     def finish(self):
         unknown = set(self.data) - self.seen

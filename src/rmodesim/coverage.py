@@ -138,11 +138,8 @@ def compute_coverage(
     blocks = [slice(i, i + block_rows) for i in range(0, lats.size, block_rows)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads or cpus, cpus, len(blocks))
-    if workers == 1:
-        list(map(run_block, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_block, blocks))
 
     return CoverageGrid(
         spec=spec,

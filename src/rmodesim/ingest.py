@@ -1,14 +1,14 @@
 """Receiver log ingestion: CSV parsing, phase unwrapping, windowed variance.
 
 Turns raw wrapped-phase/SNR logs, held as one ``StationLog`` of columns
-per station, into per-window TOA-variance samples. The TOA variance of a
-window is the sample variance of the continuous (unwrapped) carrier phase
-scaled by (wavelength / 2*pi)^2.
+per station, into ``WINDOW_DTYPE`` records of per-window TOA variance, the
+input of ``variance_model.fit_params``. The TOA variance of a window is the
+sample variance of the continuous (unwrapped) carrier phase scaled by
+(wavelength / 2*pi)^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,8 @@ LOG_COLUMNS = ("timestamp", "phase_rad", "snr_db")
 DEFAULT_WINDOW_LEN = 100  # records per variance window
 DEFAULT_WAVELENGTH_M = 299_792_458.0 / 300_000.0  # 300 kHz carrier
 TWO_PI = 2.0 * np.pi
+# one record per variance window: station, linear SNR, TOA variance in m^2
+WINDOW_DTYPE = np.dtype([("station_id", object), ("snr_linear", "f8"), ("toa_var_m2", "f8")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,21 +45,6 @@ class StationLog:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.timestamp.ndim != 1 or not self.timestamp.shape == self.phase_rad.shape == self.snr_db.shape:
             raise ValueError("timestamp, phase_rad and snr_db must be 1-D arrays of one length")
-
-
-@dataclass(frozen=True)
-class VarianceSample:
-    """One (station, linear SNR, TOA variance) observation."""
-
-    station_id: str
-    snr_linear: float
-    toa_var_m2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.snr_linear) and self.snr_linear > 0.0):
-            raise ValueError(f"snr_linear must be finite and > 0, got {self.snr_linear}")
-        if not (math.isfinite(self.toa_var_m2) and self.toa_var_m2 >= 0.0):
-            raise ValueError(f"toa_var_m2 must be finite and >= 0, got {self.toa_var_m2}")
 
 
 def parse_measurement_file(path) -> list[StationLog]:
@@ -110,12 +97,13 @@ def window_variance(
     window_len: int = DEFAULT_WINDOW_LEN,
     wavelength_m: float = DEFAULT_WAVELENGTH_M,
     detrend: str = "none",
-) -> list[VarianceSample]:
-    """Convert one station's log into TOA-variance samples.
+) -> np.ndarray:
+    """Convert one station's log into TOA-variance windows.
 
     The phase series is unwrapped once over the whole series, then split
     into consecutive non-overlapping windows of ``window_len`` records
-    (any remainder is discarded). Each window yields one sample:
+    (any remainder is discarded). Each window yields one ``WINDOW_DTYPE``
+    record, in log order:
 
     * ``toa_var_m2`` = (wavelength / 2*pi)^2 times the sample variance
       (denominator n-1) of the continuous phase;
@@ -158,7 +146,7 @@ def window_variance(
             resid = row - np.polynomial.polynomial.polyval(t, coef)
             var.append(float(resid @ resid) / (window_len - 2))
     else:
-        var = np.var(p, axis=1, ddof=1).tolist()
+        var = np.var(p, axis=1, ddof=1)
     mean_db = np.mean(log.snr_db[: n_windows * window_len].reshape(shape), axis=1).tolist()
     scale = (wavelength_m / TWO_PI) ** 2
     # the dB -> linear power stays on Python floats: numpy's vectorised pow
@@ -169,7 +157,11 @@ def window_variance(
         i, size = int(np.argmax(mean_db)), "large"
     else:
         if 0.0 not in snr:
-            return [VarianceSample(log.station_id, s, scale * v) for s, v in zip(snr, var)]
+            windows = np.empty(n_windows, dtype=WINDOW_DTYPE)
+            windows["station_id"] = log.station_id
+            windows["snr_linear"] = snr
+            windows["toa_var_m2"] = scale * np.asarray(var)
+            return windows
         i, size = snr.index(0.0), "small"
     raise ValueError(
         f"station {log.station_id!r} window {i + 1} of {n_windows}: mean snr_db {mean_db[i]} "

@@ -4,7 +4,7 @@
 at the transmitter, independent of where the receiver sits) and ``C`` is
 a constant, also in meters, shared by all transmitters. SNR enters as a
 linear power ratio. Both parameters are estimated from (SNR, variance)
-samples by minimizing the residual sum of squares; because the model is
+windows by minimizing the residual sum of squares; because the model is
 linear in ``J_i^2`` and ``C^2``, the fit is a non-negative least-squares
 problem solved exactly by an active-set method.
 """
@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DegenerateDesignError, InsufficientSamplesError
-from .ingest import VarianceSample
+from .ingest import WINDOW_DTYPE
 from .nnls import nnls
 
 
@@ -57,12 +57,14 @@ def toa_variance_m2(jitter_m, c_m, snr_linear):
     return jitter_m * jitter_m + c_m * c_m / snr_linear
 
 
-def fit_params(
-    samples: Iterable[VarianceSample], trim_fraction: float = 0.0
-) -> tuple[ModelParams, FitReport]:
-    """Estimate per-station jitter and the shared constant from samples.
+def fit_params(windows, trim_fraction: float = 0.0) -> tuple[ModelParams, FitReport]:
+    """Estimate per-station jitter and the shared constant from variance windows.
 
-    The model is linear in ``a_i = J_i^2`` and ``b = C^2``: each sample
+    ``windows`` is read as ``np.asarray(windows, dtype=WINDOW_DTYPE)``, so
+    it is a sequence, not a generator: ``window_variance``'s array, a list
+    of its records or a list of ``(station_id, snr_linear, toa_var_m2)`` tuples.
+
+    The model is linear in ``a_i = J_i^2`` and ``b = C^2``: each window
     contributes a design row with an indicator column for its station's
     ``a_i`` and the regressor ``1/snr_linear`` for ``b``. Non-negative
     least squares on (a_1..a_S, b) minimizes the residual sum of squares
@@ -71,36 +73,42 @@ def fit_params(
     data pulls negative come back as exact zeros.
 
     ``trim_fraction`` symmetrically drops that fraction of each station's
-    most extreme variance samples before fitting (off by default; useful
+    most extreme variance windows before fitting (off by default; useful
     against interference bursts): ``k = int(n * trim_fraction / 2)`` from
-    each end of the station's samples ordered by variance, with equal
+    each end of the station's windows ordered by variance, with equal
     variances ordered by SNR.
 
-    The fit is unweighted, deterministic, and invariant to sample order:
+    The fit is unweighted, deterministic, and invariant to window order:
     the design rows are ordered by station, SNR and variance.
 
-    Raises InsufficientSamplesError when any station has fewer than two
-    samples (or there are none at all) and DegenerateDesignError when a
-    station's samples share a single SNR value, which makes its jitter
-    and the constant jointly unidentifiable.
+    Raises ValueError for the first window whose ``snr_linear`` is not
+    finite and > 0 or whose ``toa_var_m2`` is not finite and >= 0,
+    InsufficientSamplesError when any station has fewer than two windows
+    (or there are none at all) and DegenerateDesignError when a station's
+    windows share a single SNR value, which makes its jitter and the
+    constant jointly unidentifiable.
     """
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError(f"trim_fraction must be in [0, 1), got {trim_fraction}")
-    fields = [(s.station_id, s.snr_linear, s.toa_var_m2) for s in samples]
-    if not fields:
+    windows = np.asarray(windows, dtype=WINDOW_DTYPE)
+    if windows.size == 0:
         raise InsufficientSamplesError("no variance samples")
-    ids, snr, var = zip(*fields)
-    station_ids, st = np.unique(np.array(ids, dtype=object), return_inverse=True)
+    snr, var = windows["snr_linear"], windows["toa_var_m2"]
+    ok = (0.0 < snr) & (snr < np.inf) & (0.0 <= var) & (var < np.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first bad window
+        if not 0.0 < snr[i] < np.inf:
+            raise ValueError(f"snr_linear must be finite and > 0, got {float(snr[i])}")
+        raise ValueError(f"toa_var_m2 must be finite and >= 0, got {float(var[i])}")
+    station_ids, st = np.unique(windows["station_id"], return_inverse=True)
     station_ids = station_ids.tolist()
-    snr, var = np.array(snr, dtype=float), np.array(var, dtype=float)
-    n_before = st.size
 
     # trim: rank each row within its station by (variance, SNR)
     order = np.lexsort((snr, var, st))
     counts = np.bincount(st)
     k = (counts * trim_fraction / 2.0).astype(int)
     by_row = st[order]
-    rank = np.arange(n_before) - (np.cumsum(counts) - counts)[by_row]
+    rank = np.arange(windows.size) - (np.cumsum(counts) - counts)[by_row]
     keep = order[(rank >= k[by_row]) & (rank < (counts - k)[by_row])]
     # canonical row order makes the fit independent of input ordering
     keep = keep[np.lexsort((var[keep], snr[keep], st[keep]))]
@@ -132,7 +140,7 @@ def fit_params(
         rss_m4=float(sum(rss_by_station.values())),
         n_samples=dict(zip(station_ids, counts.tolist())),
         rss_by_station=rss_by_station,
-        n_trimmed=n_before - st.size,
+        n_trimmed=windows.size - st.size,
     )
     return params, report
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +185,17 @@ def subprocess_env():
     return env
 
 
-def loop_fit_params(samples, trim_fraction=0.0):
-    """``fit_params`` as one Python loop per sample, kept as a reference.
+# one variance window as the reference loops read it
+_Window = namedtuple("_Window", "station_id snr_linear toa_var_m2")
+
+
+def _window_rows(windows):
+    """Each ``window_variance`` record or ``(station_id, snr_linear, toa_var_m2)`` tuple as a row of Python values."""
+    return [_Window(sid, float(snr), float(var)) for sid, snr, var in windows]
+
+
+def loop_fit_params(windows, trim_fraction=0.0):
+    """``fit_params`` as one Python loop per window, kept as a reference.
 
     Trims each station by a stable sort on variance alone, then fits in the
     canonical (station, SNR, variance) row order. On inputs whose variances
@@ -199,7 +209,7 @@ def loop_fit_params(samples, trim_fraction=0.0):
 
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError(f"trim_fraction must be in [0, 1), got {trim_fraction}")
-    rows = list(samples)
+    rows = _window_rows(windows)
     if not rows:
         raise InsufficientSamplesError("no variance samples")
     n_before = len(rows)
@@ -256,12 +266,13 @@ def loop_fit_params(samples, trim_fraction=0.0):
     return params, report
 
 
-def loop_rss_m4(params, samples):
-    """The model's residual sum of squares in m^4 against samples, one sample at a time."""
+def loop_rss_m4(params, windows):
+    """The model's residual sum of squares in m^4 against windows, one window at a time."""
     from rmodesim.variance_model import toa_variance_m2
 
     return float(
-        sum((s.toa_var_m2 - toa_variance_m2(params.jitter_m[s.station_id], params.c_m, s.snr_linear)) ** 2 for s in samples)
+        sum((s.toa_var_m2 - toa_variance_m2(params.jitter_m[s.station_id], params.c_m, s.snr_linear)) ** 2
+            for s in _window_rows(windows))
     )
 
 

@@ -20,7 +20,6 @@ from rmodesim import (
     NoiseSpec,
     ParametricPropagation,
     TransmitterStation,
-    VarianceSample,
     accuracy95,
     compute_coverage,
     covariance,
@@ -52,7 +51,7 @@ def _samples_from(jitter_by_station, c_m, snr_by_station, noise_sigma_frac=0.0, 
         s2 = j * j + c_m * c_m / snrs
         if noise_sigma_frac:
             s2 = np.maximum(s2 + rng.normal(0.0, noise_sigma_frac * s2), 0.0)
-        samples.extend(VarianceSample(sid, float(s), float(v)) for s, v in zip(snrs, s2))
+        samples.extend((sid, float(s), float(v)) for s, v in zip(snrs, s2))
     return samples
 
 
@@ -102,9 +101,9 @@ def test_criterion_2_nnls_boundary_behavior():
     snrs = rng.uniform(1.0, 200.0, size=200)
     x = 1.0 / snrs
     b_true = TRUE_C * TRUE_C
-    on_curve = [VarianceSample("pin", float(s), float(v)) for s, v in zip(snrs, b_true * x)]
+    on_curve = [("pin", float(s), float(v)) for s, v in zip(snrs, b_true * x)]
     below = [
-        VarianceSample("below", float(s), float(v))
+        ("below", float(s), float(v))
         for s, v in zip(snrs, np.maximum(0.8 * b_true * x + rng.normal(0.0, 0.5, 200), 0.0))
     ]
     samples = on_curve + below
@@ -112,11 +111,11 @@ def test_criterion_2_nnls_boundary_behavior():
     # confirm the unconstrained joint optimum really is infeasible
     a = np.zeros((len(samples), 3))
     y = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        a[i, 0] = 1.0 if s.station_id == "below" else 0.0
-        a[i, 1] = 1.0 if s.station_id == "pin" else 0.0
-        a[i, 2] = 1.0 / s.snr_linear
-        y[i] = s.toa_var_m2
+    for i, (sid, snr, var) in enumerate(samples):
+        a[i, 0] = 1.0 if sid == "below" else 0.0
+        a[i, 1] = 1.0 if sid == "pin" else 0.0
+        a[i, 2] = 1.0 / snr
+        y[i] = var
     unconstrained, *_ = np.linalg.lstsq(a, y, rcond=None)
     assert unconstrained[0] < 0.0
 
@@ -226,17 +225,17 @@ def test_criterion_6_phase_to_toa_unit_check():
     )
     (sample,) = window_variance(records, window_len=n, wavelength_m=lam)
     expected = (lam / (2.0 * math.pi)) ** 2
-    ok = abs(sample.toa_var_m2 - 25_295.0) <= 1.0
-    ok &= abs(sample.toa_var_m2 - expected) / expected < 1e-9
+    ok = abs(sample["toa_var_m2"] - 25_295.0) <= 1.0
+    ok &= abs(sample["toa_var_m2"] - expected) / expected < 1e-9
 
     (doubled,) = window_variance(records, window_len=n, wavelength_m=2.0 * lam)
     (quadrupled,) = window_variance(records, window_len=n, wavelength_m=4.0 * lam)
-    ok &= doubled.toa_var_m2 == 4.0 * sample.toa_var_m2
-    ok &= quadrupled.toa_var_m2 == 16.0 * sample.toa_var_m2
+    ok &= doubled["toa_var_m2"] == 4.0 * sample["toa_var_m2"]
+    ok &= quadrupled["toa_var_m2"] == 16.0 * sample["toa_var_m2"]
     _verdict(
         "criterion 6: unit phase variance at 300 kHz -> 25295 m^2, scaling exact",
         ok,
-        f"got {sample.toa_var_m2:.2f} m^2",
+        f"got {sample['toa_var_m2']:.2f} m^2",
     )
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from rmodesim.cli import main
 from rmodesim.errors import NnlsConvergenceError
 from rmodesim.ingest import MEASUREMENT_COLUMNS
 
-from helpers import destination_point, long_field_file
+from helpers import destination_point, long_field_file, subprocess_env
 
 
 def run(capsys, *argv):
@@ -459,3 +461,30 @@ def test_reserved_station_id_exit_2(config_factory, tmp_path, capsys):
     assert code == 2
     assert "stations[0].id" in err and out == ""
     assert not (tmp_path / "coverage.csv").exists()
+
+
+# waits for a line on stdin before running the command, so the reader can
+# close stdout first, as `rmodesim accuracy ... | head -1` does
+_AFTER_GO = (
+    "import sys\n"
+    "from rmodesim.cli import main\n"
+    "print('ready', flush=True)\n"
+    "sys.stdin.readline()\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_traceback(config_factory, unbuffered):
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # each print writes at once, so the command itself meets the closed pipe
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["accuracy", "--config", str(config_factory()), "--lat", "36.0", "--lon", "127.0"]
+    proc = subprocess.Popen([sys.executable, "-c", _AFTER_GO, *argv], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"ready\n"
+    proc.stdout.close()
+    _, err = proc.communicate(b"go\n", timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

@@ -92,6 +92,14 @@ def test_non_finite_number_rejected(config_factory, value):
         load_config(config_factory(mutate=mutate))
 
 
+def test_integer_beyond_float_range_rejected(config_factory):
+    def mutate(cfg):
+        cfg["model"]["c_m"] = 10**400
+
+    with pytest.raises(ConfigError, match=r"^model\.c_m: expected a finite number, got 10{400}$"):
+        load_config(config_factory(mutate=mutate))
+
+
 @pytest.mark.parametrize("key, value", [("lat_max", 95.0), ("lat_min", -90.5), ("lon_max", 180.5)])
 def test_grid_outside_geographic_ranges_rejected(config_factory, key, value):
     def mutate(cfg):

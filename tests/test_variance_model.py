@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmodesim import ModelParams, VarianceSample, fit_params, write_fit_report_csv
+from rmodesim import (
+    WINDOW_DTYPE,
+    ModelParams,
+    fit_params,
+    synth_station_log,
+    window_variance,
+    write_fit_report_csv,
+)
 from rmodesim.errors import DegenerateDesignError, InsufficientSamplesError
 from rmodesim.variance_model import toa_variance_m2
 
@@ -21,7 +28,7 @@ def make_samples(jitter_by_station, c_m, snr_values, noise=None):
             s2 = j * j + c_m * c_m / snr
             if noise is not None:
                 s2 = max(s2 + noise[sid][k], 0.0)
-            samples.append(VarianceSample(sid, float(snr), float(s2)))
+            samples.append((sid, float(snr), float(s2)))
     return samples
 
 
@@ -54,8 +61,8 @@ class TestPredict:
         for make in (
             lambda: ModelParams({"s": bad}, 1.0),
             lambda: ModelParams({"s": 0.1}, bad),
-            lambda: VarianceSample("s", bad, 1.0),
-            lambda: VarianceSample("s", 10.0, bad),
+            lambda: fit_params([("s", bad, 1.0), ("s", 20.0, 1.0)]),
+            lambda: fit_params([("s", 10.0, 1.0), ("s", 20.0, bad)]),
         ):
             with pytest.raises(ValueError, match="finite"):
                 make()
@@ -74,7 +81,7 @@ class TestFit:
 
     def test_single_station_exact_linear_system(self):
         snrs = np.linspace(1.0, 100.0, 50)
-        samples = [VarianceSample("s", float(x), 5.0 + 100.0 / x) for x in snrs]
+        samples = [("s", float(x), 5.0 + 100.0 / x) for x in snrs]
         params, _ = fit_params(samples)
         assert params.jitter_m["s"] == pytest.approx(math.sqrt(5.0), rel=1e-9)
         assert params.c_m == pytest.approx(10.0, rel=1e-9)
@@ -82,8 +89,8 @@ class TestFit:
     def test_negative_unconstrained_intercept_clamps_to_zero(self):
         # one station pins the shared curve, the other sits below it
         snrs = np.linspace(1.0, 50.0, 40)
-        samples = [VarianceSample("on_curve", float(x), 100.0 / x) for x in snrs]
-        samples += [VarianceSample("below", float(x), 80.0 / x) for x in snrs]
+        samples = [("on_curve", float(x), 100.0 / x) for x in snrs]
+        samples += [("below", float(x), 80.0 / x) for x in snrs]
         params, _ = fit_params(samples)
         assert params.jitter_m["below"] == 0.0
         assert params.jitter_m["on_curve"] >= 0.0
@@ -153,7 +160,7 @@ class TestFit:
         samples = make_samples({"s": 1.0}, 10.0, snrs, noise)
         params, report = fit_params(samples)
         a, b, rss = grid_search_single_station(
-            [s.snr_linear for s in samples], [s.toa_var_m2 for s in samples],
+            [s[1] for s in samples], [s[2] for s in samples],
             a_max=25.0, b_max=400.0,
         )
         assert report.rss_m4 <= rss + 1e-9
@@ -165,7 +172,7 @@ class TestFit:
         snrs = rng.uniform(1.0, 200.0, size=60)
         x = 1.0 / snrs
         y = np.maximum(90.0 * x - 0.05 + rng.normal(0.0, 0.05, size=60), 0.0)
-        samples = [VarianceSample("s", float(s), float(v)) for s, v in zip(snrs, y)]
+        samples = [("s", float(s), float(v)) for s, v in zip(snrs, y)]
         params, report = fit_params(samples)
         assert params.jitter_m["s"] == 0.0
         _, _, rss = grid_search_single_station(snrs, y, a_max=5.0, b_max=200.0)
@@ -175,10 +182,10 @@ class TestFit:
         with pytest.raises(InsufficientSamplesError):
             fit_params([])
         with pytest.raises(InsufficientSamplesError):
-            fit_params([VarianceSample("s", 10.0, 1.0)])
+            fit_params([("s", 10.0, 1.0)])
 
     def test_degenerate_design_constant_snr(self):
-        samples = [VarianceSample("s", 10.0, 1.0), VarianceSample("s", 10.0, 1.2)]
+        samples = [("s", 10.0, 1.0), ("s", 10.0, 1.2)]
         with pytest.raises(DegenerateDesignError):
             fit_params(samples)
 
@@ -187,8 +194,8 @@ class TestFit:
         snrs = np.linspace(1.0, 500.0, 100)
         samples = make_samples({"s": 1.0}, 10.0, snrs)
         # symmetric contamination: a burst and a too-clean sample
-        samples[10] = VarianceSample("s", samples[10].snr_linear, 1e5)
-        samples[20] = VarianceSample("s", samples[20].snr_linear, 0.0)
+        samples[10] = ("s", samples[10][1], 1e5)
+        samples[20] = ("s", samples[20][1], 0.0)
         raw, _ = fit_params(samples)
         trimmed, report = fit_params(samples, trim_fraction=0.05)
         assert report.n_trimmed == 4
@@ -198,9 +205,9 @@ class TestFit:
     def test_trim_breaks_variance_ties_by_snr(self):
         # two bursts and two too-clean samples share one variance each, so
         # the trim boundary falls inside a tie whatever the input order
-        samples = [VarianceSample("s", x, 1.0 + 100.0 / x) for x in np.arange(2.0, 40.0).tolist()]
-        samples += [VarianceSample("s", 1.5, 500.0), VarianceSample("s", 50.0, 500.0)]
-        samples += [VarianceSample("s", 3.5, 0.5), VarianceSample("s", 70.0, 0.5)]
+        samples = [("s", x, 1.0 + 100.0 / x) for x in np.arange(2.0, 40.0).tolist()]
+        samples += [("s", 1.5, 500.0), ("s", 50.0, 500.0)]
+        samples += [("s", 3.5, 0.5), ("s", 70.0, 0.5)]
         rng = np.random.default_rng(15)
         fits = set()
         for _ in range(50):
@@ -210,9 +217,40 @@ class TestFit:
         assert len(fits) == 1
         # the lower SNR of each tie sorts first, so the trim drops (3.5, 0.5)
         # and (50, 500) and keeps the other two
-        kept = [s for s in samples if (s.snr_linear, s.toa_var_m2) not in {(3.5, 0.5), (50.0, 500.0)}]
+        kept = [s for s in samples if s[1:] not in {(3.5, 0.5), (50.0, 500.0)}]
         params, report = fit_params(kept)
         assert fits == {repr((params, dataclasses.replace(report, n_trimmed=2)))}
+
+
+def test_window_values_checked_by_fit():
+    with pytest.raises(ValueError, match=r"^snr_linear must be finite and > 0, got 0\.0$"):
+        fit_params([("s", 0.0, 1.0), ("s", 2.0, 1.0)])
+    with pytest.raises(ValueError, match=r"^toa_var_m2 must be finite and >= 0, got -0\.5$"):
+        fit_params([("s", 1.0, -0.5), ("s", 2.0, 1.0)])
+    # the first bad window names the error, whichever column fails
+    with pytest.raises(ValueError, match=r"^toa_var_m2 must be finite and >= 0, got nan$"):
+        fit_params([("s", 1.0, math.nan), ("s", -1.0, 1.0)])
+    fit_params([("s", 1.0, 0.0), ("s", 2.0, 1.0)])
+
+
+@pytest.mark.parametrize("trim_fraction", [0.0, 0.1])
+def test_windows_extended_per_station_fit_like_joined_windows(trim_fraction):
+    # the glue of demos/01 and benchmarks/worker.py::pass_fit_logs: one
+    # list.extend per station in sorted id order hands fit_params a list of
+    # window_variance's records rather than one structured array
+    snrs = np.linspace(1.0, 1000.0, 60)
+    logs = {}
+    for k, (sid, j) in enumerate([("palmi", 0.0), ("chungju", 1.41), ("eocheong", 0.3)]):
+        rng = np.random.default_rng([5, k])
+        logs[sid] = synth_station_log(sid, j, 22.15, 999.3, snrs, 40, noise="gauss", rng=rng)
+    per_station = [window_variance(logs[sid], window_len=40, wavelength_m=999.3) for sid in sorted(logs)]
+    assert all(w.dtype == WINDOW_DTYPE for w in per_station)
+    samples = []
+    for w in per_station:
+        samples.extend(w)
+    glue = repr(fit_params(samples, trim_fraction=trim_fraction))
+    assert glue == repr(fit_params(np.concatenate(per_station), trim_fraction=trim_fraction))
+    assert glue == repr(loop_fit_params(samples, trim_fraction=trim_fraction))
 
 
 def _outcome(fit, samples, trim_fraction):
@@ -230,7 +268,7 @@ def tie_free_samples(draw):
         n = draw(st.integers(1, 40))
         snrs = draw(st.lists(st.sampled_from([1.0, 2.5, 40.0]) | st.floats(0.5, 1e3), min_size=n, max_size=n))
         variances = draw(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n, unique=True))
-        samples += [VarianceSample(sid, x, v + 0.0) for x, v in zip(snrs, variances)]
+        samples += [(sid, x, v + 0.0) for x, v in zip(snrs, variances)]
     return draw(st.permutations(samples))
 
 
