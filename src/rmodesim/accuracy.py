@@ -49,7 +49,6 @@ CONDITION_LIMIT = 1e12  # normal-matrix condition number above which geometry is
 MASK_TOO_FEW_STATIONS = "TooFewStations"
 MASK_SINGULAR_GEOMETRY = "SingularGeometry"
 MASK_REASONS = ("", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY)  # indexed by mask code
-_EYE = np.eye(3)
 # The adjugate det is off by up to about 15 eps * lambda_max^3 from rounding;
 # _DET_ERROR bounds that with a margin. The trigonometric lambda_mid is not
 # resolved below _SMALL_MID * lambda_max.
@@ -58,11 +57,11 @@ _DET_ERROR = 64 * np.finfo(float).eps
 _SMALL_MID = 1e-6
 
 
-def _singular(a, b, c, d, e, f, det):
+def _singular(a, b, c, d, e, f, det, skip):
     """Where the symmetric 3x3 [[a, b, c], [b, d, e], [c, e, f]] is singular (see the module docstring).
 
-    Runs under the caller's ``np.errstate``, which must ignore division by
-    zero and invalid values.
+    Cells where ``skip`` holds never reach ``eigvalsh``. Runs under the
+    caller's ``np.errstate``, which must ignore division by zero and invalid values.
     """
     q = (a + d + f) / 3.0
     aq, dq, fq = a - q, d - q, f - q
@@ -74,7 +73,7 @@ def _singular(a, b, c, d, e, f, det):
     cond = np.abs(lam_max / (det / (lam_max * lam_mid)))
     doubt = _CHECK_BAND + _DET_ERROR * lam_max**3 / np.abs(det)
     # ~(x > y) is also True where x or y is NaN
-    check = ~(np.abs(cond / CONDITION_LIMIT - 1.0) > doubt) | ~(lam_mid > _SMALL_MID * lam_max)
+    check = (~(np.abs(cond / CONDITION_LIMIT - 1.0) > doubt) | ~(lam_mid > _SMALL_MID * lam_max)) & ~skip
     singular = np.array(~(cond <= CONDITION_LIMIT))  # 0-d stays assignable
     if check.any():
         m = np.array([a[check], b[check], c[check], b[check], d[check], e[check], c[check], e[check], f[check]])
@@ -83,14 +82,15 @@ def _singular(a, b, c, d, e, f, det):
     return singular
 
 
-def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
+def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray, skip=np.False_):
     """(G' R^-1 G)^-1 summed over the leading station axis, and where it is singular.
 
     ``az_rad`` and ``weights`` share shape (S, ...); a zero weight drops a
     station. A cell is singular when the normal matrix's 2-norm condition
-    number is above ``CONDITION_LIMIT`` or undefined (see ``_singular``);
-    its inverse is then the identity. Returns the inverses, shape
-    (..., 3, 3), and the singular flags, shape (...).
+    number is above ``CONDITION_LIMIT`` or undefined (see ``_singular``, which
+    also takes ``skip``). Returns the adjugate's six distinct cofactors
+    ``(cof00, cof01, cof02, cof11, cof12, cof22)``, det and the flags, each of
+    shape (...); the inverse is cofactor / det where not singular.
     """
     cos, sin = np.cos(az_rad), np.sin(az_rad)
     wc, ws = weights * cos, weights * sin
@@ -98,7 +98,7 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
     a, b, c = (wc * cos).sum(axis=0), (wc * sin).sum(axis=0), wc.sum(axis=0)
     d, e, f = (ws * sin).sum(axis=0), ws.sum(axis=0), weights.sum(axis=0)
 
-    # adjugate inverse of a symmetric 3x3
+    # adjugate of a symmetric 3x3
     cof00 = d * f - e * e
     cof01 = c * e - b * f
     cof02 = b * e - c * d
@@ -107,12 +107,8 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray):
     cof22 = a * d - b * b
     det = a * cof00 + b * cof01 + c * cof02
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular = _singular(a, b, c, d, e, f, det)
-        k = np.array([cof00, cof01, cof02, cof01, cof11, cof12, cof02, cof12, cof22])
-        k /= det
-    k = k.transpose(*range(1, k.ndim), 0).reshape(det.shape + (3, 3))  # a view, matrix axes last
-    k[singular] = _EYE
-    return k, singular
+        singular = _singular(a, b, c, d, e, f, det, skip)
+    return (cof00, cof01, cof02, cof11, cof12, cof22), det, singular
 
 
 def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
@@ -130,10 +126,10 @@ def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
         raise ValueError(f"sigma2 shape {s2.shape} does not match azimuths {az.shape}")
     if not np.all(s2 > 0.0):
         raise ValueError("all sigma2 must be > 0")
-    k, singular = _inverse_normal(az, 1.0 / s2)
+    (c00, c01, c02, c11, c12, c22), det, singular = _inverse_normal(az, 1.0 / s2)
     if singular:
         raise SingularGeometryError("normal matrix is singular or too ill-conditioned to invert")
-    return k
+    return np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det
 
 
 def accuracy95(k: np.ndarray) -> float:
@@ -153,7 +149,7 @@ def accuracy_arrays(
 ):
     """95% horizontal accuracy at points of any shape; the one copy of the rules.
 
-    ``lat_deg`` and ``lon_deg`` are scalars or equal-shape arrays. Each
+    ``lat_deg`` and ``lon_deg`` are scalars or broadcastable arrays. Each
     station's SNR is its field strength minus the noise level, its TOA
     variance is J_i^2 + C^2/SNR, and it is usable when its SNR is at or
     above ``snr_threshold_db``. A point with fewer than three usable
@@ -162,18 +158,22 @@ def accuracy_arrays(
 
     Returns ``(snr_db, azimuth_rad, sigma2_m2, usable, accuracy_m,
     usable_count, mask)``. The first four have the station axis first,
-    shape (S, ...); the rest have the points' shape, with NaN accuracy
-    where masked and ``mask`` an int8 code indexing ``MASK_REASONS``:
-    0 where unmasked, else the mask reason's position. Raises
-    UnknownStationError for a station without a jitter parameter,
-    CoincidentPointsError before any propagation for a point on a
-    transmitter site (no azimuth), NonpositiveSnrError for a NaN SNR
-    and ValueError for a usable station with zero variance.
+    shape (S, ...); the rest have the points' broadcast shape, with NaN accuracy
+    where masked and ``mask`` an int8 code indexing ``MASK_REASONS``: 0 where
+    unmasked, else the mask reason's position. Raises UnknownStationError for
+    a station without a jitter parameter, CoincidentPointsError before any
+    propagation for a point on a transmitter site (no azimuth),
+    NonpositiveSnrError for a NaN SNR and ValueError for shapes that do not
+    broadcast or a usable station with zero variance.
     """
     for tx in stations:
         if tx.station_id not in params.jitter_m:
             raise UnknownStationError(f"no jitter parameter for station {tx.station_id!r}")
-    per_station = (len(stations),) + (1,) * np.ndim(lat_deg)
+    try:
+        per_station = (len(stations),) + (1,) * np.broadcast(lat_deg, lon_deg).ndim
+    except ValueError:
+        shapes = f"latitude shape {np.shape(lat_deg)} and longitude shape {np.shape(lon_deg)}"
+        raise ValueError(f"{shapes} do not broadcast") from None
     site_lat = np.array([tx.position.lat_deg for tx in stations]).reshape(per_station)
     site_lon = np.array([tx.position.lon_deg for tx in stations]).reshape(per_station)
     on_site = (site_lat == lat_deg) & (site_lon == lon_deg)
@@ -195,11 +195,12 @@ def accuracy_arrays(
             "the weighted solution is undefined"
         )
     count = usable.sum(axis=0)
-    weights = np.divide(1.0, sigma2, out=np.zeros_like(sigma2), where=usable)
-    k, singular = _inverse_normal(az, weights)
     too_few = count < 3
+    weights = np.divide(1.0, sigma2, out=np.zeros_like(sigma2), where=usable)
+    (cof00, _, _, cof11, _, _), det, singular = _inverse_normal(az, weights, skip=too_few)
     ok = ~too_few & ~singular
-    horiz = np.maximum(np.where(ok, k[..., 0, 0] + k[..., 1, 1], 0.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        horiz = np.maximum(np.where(ok, cof00 / det + cof11 / det, 0.0), 0.0)
     accuracy = np.where(ok, 2.0 * np.sqrt(horiz), np.nan)
     mask = np.where(too_few, 1, np.where(singular, 2, 0)).astype(np.int8)
     return snr_db, az, sigma2, usable, accuracy, count, mask

@@ -1,13 +1,13 @@
 """Grid sweeps producing 95% accuracy coverage maps, plus CSV/PGM output.
 
 Cells are independent, so the sweep runs on a thread pool in blocks of
-whole latitude rows; every kernel step is per cell or sums over stations
-only, so the output is bitwise identical for any block size and worker count.
+whole latitude rows, a latitude column against the longitude row; every
+kernel step is per cell, per coordinate or sums over stations only, so the
+output is bitwise identical for any block size and worker count.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +30,7 @@ CELL_LIMIT = 10_000_000
 # held grid-wide.
 _BLOCK_CELLS = 5000
 _MASK_STRINGS = np.array(MASK_REASONS, dtype="<U16")
+_PIXEL_STRINGS = np.array([str(v) for v in range(256)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -120,18 +121,14 @@ def compute_coverage(
     if spec.cell_count > CELL_LIMIT:
         raise GridTooLargeError(f"{spec.cell_count} cells exceeds the limit of {CELL_LIMIT}")
 
-    lats = spec.lat_values()
-    lons = spec.lon_values()
+    lats, lons = spec.lat_values(), spec.lon_values()
     accuracy = np.empty((lats.size, lons.size))
     count = np.empty(accuracy.shape, dtype=np.min_scalar_type(len(stations)))
     mask_code = np.empty(accuracy.shape, dtype=np.int8)
 
-    lat2 = np.broadcast_to(lats[:, None], accuracy.shape)
-    lon2 = np.broadcast_to(lons[None, :], accuracy.shape)
-
     def run_block(rows: slice) -> None:
         _, _, _, _, accuracy[rows], count[rows], mask_code[rows] = accuracy_arrays(
-            lat2[rows], lon2[rows], stations, params, prop, noise, snr_threshold_db
+            lats[rows, None], lons[None, :], stations, params, prop, noise, snr_threshold_db
         )
 
     block_rows = max(1, _BLOCK_CELLS // lons.size)
@@ -142,12 +139,7 @@ def compute_coverage(
         list(pool.map(run_block, blocks))
 
     return CoverageGrid(
-        spec=spec,
-        lat_deg=lats,
-        lon_deg=lons,
-        accuracy_m=accuracy,
-        usable_count=count,
-        mask_code=mask_code,
+        spec, lats, lons, accuracy_m=accuracy, usable_count=count, mask_code=mask_code,
         station_ids=[tx.station_id for tx in stations],
     )
 
@@ -173,25 +165,28 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
     """
     # csv.writer's QUOTE_MINIMAL framing (no field can hold a comma, quote
     # or newline), one % template per row: each cell's piece is picked by
-    # its mask code, and the row's accuracies and counts fill it in one go.
-    # "%.6f" rounds as f"{a:.6f}" does. The values sit in an object array,
-    # so they reach % as Python floats and ints.
+    # its mask code and usable count and spells both out, so only the row's
+    # unmasked accuracies fill it in ("%.6f" rounds as f"{a:.6f}" does).
+    # The table has pieces only for the counts that occur, found row by row
+    # so that no grid-sized index copy is made.
+    present = np.zeros(int(grid.usable_count.max()) + 1, dtype=bool)
+    for cnt in grid.usable_count:
+        present[cnt] = True
+    piece_of_count = np.cumsum(present) - 1
     lon_strs = [f"{lon:.6f}" for lon in grid.lon_deg.tolist()]
     pieces = np.array(
-        [[f"{lon},%.6f,%d,\r\n" for lon in lon_strs]]
-        + [[f"{lon},,%d,{reason}\r\n" for lon in lon_strs] for reason in MASK_REASONS[1:]],
+        [[[f"{lon},{acc},{n},{reason}\r\n" for lon in lon_strs] for n in np.flatnonzero(present).tolist()]
+         for acc, reason in zip(("%.6f", "", ""), MASK_REASONS)],  # an accuracy field for code 0 only
         dtype=object,
     )
     cols = np.arange(len(lon_strs))
-    values = np.empty(2 * len(lon_strs), dtype=object)  # accuracy, count, accuracy, count, ...
-    keep = np.ones(values.size, dtype=bool)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("lat_deg,lon_deg,accuracy_m,usable_count,mask\r\n")
         rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask_code)
         for lat, acc, cnt, code in rows:
             pre = f"{lat:.6f},"
-            values[0::2], values[1::2], keep[0::2] = acc, cnt, code == 0
-            f.write((pre + pre.join(pieces[code, cols].tolist())) % tuple(values[keep].tolist()))
+            row = pieces[code, piece_of_count[cnt], cols].tolist()
+            f.write((pre + pre.join(row)) % tuple(acc[code == 0].tolist()))
 
 
 def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None:
@@ -213,7 +208,7 @@ def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None
             clipped = np.minimum(np.where(unmasked, grid.accuracy_m[i], accuracy_clip_m), accuracy_clip_m)
             pix = np.floor(255.0 * (1.0 - clipped / accuracy_clip_m) + 0.5)
             pix = np.where(unmasked, pix, 0.0).astype(np.int64)
-            f.write(" ".join(map(str, pix.tolist())) + "\n")
+            f.write(" ".join(_PIXEL_STRINGS[pix].tolist()) + "\n")
 
 
 def write_contour_csv(grid: CoverageGrid, path, accuracy_limit_m: float) -> None:
@@ -232,8 +227,8 @@ def write_contour_csv(grid: CoverageGrid, path, accuracy_limit_m: float) -> None
         padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     )
     boundary = inside & ~neighbors_all_in
+    i, j = np.nonzero(boundary)
+    cells = zip(grid.lat_deg[i].tolist(), grid.lon_deg[j].tolist())
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["lat_deg", "lon_deg"])
-        for i, j in zip(*np.nonzero(boundary)):
-            w.writerow([f"{grid.lat_deg[i]:.6f}", f"{grid.lon_deg[j]:.6f}"])
+        f.write("lat_deg,lon_deg\r\n")  # csv.writer's framing, as in the coverage CSV
+        f.writelines(f"{lat:.6f},{lon:.6f}\r\n" for lat, lon in cells)

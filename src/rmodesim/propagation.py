@@ -87,7 +87,7 @@ class FieldGrid:
     def value_at(self, lat_deg, lon_deg):
         """Bilinear interpolation; exact at nodes, continuous across cells.
 
-        Accepts scalars or equal-shape arrays. An exact interior node
+        Accepts scalars or broadcastable arrays. An exact interior node
         starts a cell, and each axis's upper edge lies in its last cell.
         Raises OutOfGridBoundsError for any query outside the lattice.
         """

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from rmodesim import (
     covariance,
 )
 import rmodesim.accuracy as accuracy_module
-from rmodesim.accuracy import CONDITION_LIMIT, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
+from rmodesim.accuracy import CONDITION_LIMIT, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS, accuracy_arrays
+from rmodesim.config import load_config
 from rmodesim.errors import CoincidentPointsError, SingularGeometryError, TooFewStationsError, UnknownStationError
 
 from helpers import destination_point, eigvalsh_inverse_normal, mc_wls_horizontal_cov
@@ -163,7 +165,11 @@ class TestConditionCheck:
         az = np.stack([c[0] for c in cells], axis=-1).reshape((n + zero_weight,) + shape)
         w = np.stack([c[1] for c in cells], axis=-1).reshape(az.shape)
 
-        k, singular = accuracy_module._inverse_normal(az, w)
+        (c00, c01, c02, c11, c12, c22), det, singular = accuracy_module._inverse_normal(az, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1) / det[..., None]
+        k = k.reshape(shape + (3, 3))
+        k[singular] = np.eye(3)
         k_ref, singular_ref = eigvalsh_inverse_normal(az, w)
         assert singular.shape == singular_ref.shape == shape
         assert np.array_equal(singular, singular_ref)
@@ -176,10 +182,33 @@ class TestConditionCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[:-2]) or eigvalsh(m))
         rng = np.random.default_rng(5)
         az = np.stack([random_geometry(rng, 4) for _ in range(200)], axis=-1)
-        _, singular = accuracy_module._inverse_normal(az, rng.uniform(0.1, 10.0, az.shape))
+        _, _, singular = accuracy_module._inverse_normal(az, rng.uniform(0.1, 10.0, az.shape))
         assert not singular.any() and seen == []
-        _, singular = accuracy_module._inverse_normal(np.full((3, 7), 0.3), np.ones((3, 7)))
+        _, _, singular = accuracy_module._inverse_normal(np.full((3, 7), 0.3), np.ones((3, 7)))
         assert singular.all() and seen == [(7,)]
+
+    def test_eigvalsh_skips_points_with_too_few_stations(self, monkeypatch):
+        # a point with two usable stations is masked TooFewStations whatever
+        # its condition number, so its normal matrix never reaches eigvalsh
+        stations = [
+            TransmitterStation(f"s{i}", GeoPoint(*destination_point(0.0, 0.0, math.radians(b), d)), 300.0, 300e3)
+            for i, (b, d) in enumerate([(0.0, 150_000.0), (90.0, 150_000.0), (240.0, 4_000_000.0)])
+        ]
+        params = ModelParams({tx.station_id: 0.0 for tx in stations}, 22.15)
+        args = (stations, params, ParametricPropagation(100.0, 0.0), NoiseSpec(level_dbuv_m=40.0), -15.0)
+        before = accuracy_at(GeoPoint(0.0, 0.0), *args)
+        assert before.mask_reason == MASK_TOO_FEW_STATIONS and before.usable_count == 2
+        assert before.accuracy_m is None
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[:-2]) or eigvalsh(m))
+        assert accuracy_at(GeoPoint(0.0, 0.0), *args) == before
+        assert seen == []
+        # the closed form alone doubts this geometry
+        az = np.array([st.azimuth_rad for st in before.stations])
+        w = np.array([1.0 / st.sigma2_m2 if st.usable else 0.0 for st in before.stations])
+        accuracy_module._inverse_normal(az, w)
+        assert seen == [(1,)]
 
 
 class TestAccuracy95:
@@ -345,3 +374,34 @@ class TestTransmitterSite:
         spec = GridSpec(-1.0, 1.0, -0.5, 1.5, 0.5)  # nodes on all three sites
         with pytest.raises(CoincidentPointsError, match="site of station"):
             compute_coverage(spec, self.stations, self.params, self.props[prop], self.noise, -15.0)
+
+
+class TestMixedShapes:
+    """``accuracy_arrays`` broadcasts latitude against longitude."""
+
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml")
+
+    def run(self, lat, lon):
+        cfg = self.cfg
+        return accuracy_arrays(lat, lon, cfg.stations, cfg.params, cfg.propagation, cfg.noise, cfg.snr_threshold_db)
+
+    def test_scalar_latitude_with_a_row_of_longitudes(self):
+        lons = np.array([126.0, 126.5, 127.0])
+        mixed = self.run(36.0, lons)
+        equal = self.run(np.full(3, 36.0), lons)
+        for a, b in zip(mixed, equal):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        cfg = self.cfg
+        points = [
+            accuracy_at(GeoPoint(36.0, lon), cfg.stations, cfg.params, cfg.propagation, cfg.noise, cfg.snr_threshold_db)
+            for lon in lons.tolist()
+        ]
+        assert mixed[4].tolist() == [p.accuracy_m for p in points]
+        assert np.isfinite(mixed[4]).all()
+        # a latitude column against a longitude row is the grid
+        grid = self.run(np.array([[35.5], [36.0]]), lons)
+        assert grid[4].shape == (2, 3) and grid[4][1].tobytes() == mixed[4].tobytes()
+
+    def test_shapes_that_do_not_broadcast_are_named(self):
+        with pytest.raises(ValueError, match=r"latitude shape \(3,\) and longitude shape \(4,\) do not broadcast"):
+            self.run(np.full(3, 36.0), np.linspace(126.0, 127.0, 4))

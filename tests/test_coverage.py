@@ -2,6 +2,7 @@ import csv
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rmodesim import (
     write_coverage_csv,
     write_coverage_pgm,
 )
-from rmodesim.accuracy import MASK_REASONS, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS
+from rmodesim.accuracy import MASK_REASONS, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS, accuracy_arrays
 from rmodesim.config import load_config
 from rmodesim.errors import GridTooLargeError, NonpositiveSnrError
 from rmodesim.propagation import field_strength_dbuv_m, snr_db_at
@@ -290,6 +291,46 @@ def test_point_query_matches_coverage_at_every_node(
                 assert point.accuracy_m == pytest.approx(grid.accuracy_m[i, j], rel=1e-9), (lat, lon)
 
 
+@given(
+    prop_kind=st.sampled_from(["parametric", "lattice"]),
+    noise_kind=st.sampled_from(["scalar", "grid"]),
+    step=st.sampled_from([0.25, 0.5, 0.75]),
+    south=st.integers(-3, 4),
+    n_lat=st.integers(1, 9),
+    west=st.integers(-3, 4),
+    n_lon=st.integers(1, 9),
+    block_rows=st.integers(1, 11),
+    threads=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_kernel_on_full_grids(
+    prop_kind, noise_kind, step, south, n_lat, west, n_lon, block_rows, threads, seed
+):
+    # the sweep hands the kernel a latitude column and a longitude row per
+    # block; the kernel on whole broadcast grids must give the same bits.
+    # Every grid lies inside the lattices (-10.35..9.95) and off the sites.
+    stations, params, prop, noise = equator_scenario("lattice", 65.0, (0.5, 1.0, 1.5), 22.15, seed)
+    if prop_kind == "parametric":
+        prop = ParametricPropagation(ref_field_dbuv_m=109.5, atten_db_per_km=0.03)
+    if noise_kind == "scalar":
+        noise = NoiseSpec(level_dbuv_m=65.0)
+    # an extent under one step gives a single node along that axis
+    spec = GridSpec(
+        -south * step, (max(n_lat - 1, 0.5) - south) * step, -west * step, (max(n_lon - 1, 0.5) - west) * step, step
+    )
+    assert (spec.n_lat, spec.n_lon) == (n_lat, n_lon)
+    with mock.patch.object(coverage_module, "_BLOCK_CELLS", block_rows * n_lon):
+        grid = compute_coverage(spec, stations, params, prop, noise, -14.0, threads=threads)
+    shape = (n_lat, n_lon)
+    lat2 = np.broadcast_to(grid.lat_deg[:, None], shape)
+    lon2 = np.broadcast_to(grid.lon_deg[None, :], shape)
+    _, _, _, _, accuracy, count, mask_code = accuracy_arrays(lat2, lon2, stations, params, prop, noise, -14.0)
+    assert grid.accuracy_m.tobytes() == accuracy.tobytes()
+    assert grid.mask_code.tobytes() == mask_code.tobytes()
+    assert np.array_equal(grid.usable_count, count)
+
+
 class TestCsvOutput:
     def test_row_count_and_schema(self, tmp_path):
         stations, params, prop, noise = scenario()
@@ -457,6 +498,24 @@ def interleaved_mask_grid():
     )
 
 
+def many_counts_grid():
+    # 300 stations' worth of usable counts, every one paired with each mask code
+    rng = np.random.default_rng(11)
+    spec = GridSpec(-1.0, 1.0, 20.0, 21.5, 0.05)
+    shape = (spec.n_lat, spec.n_lon)
+    mask_code = rng.choice(np.array([0, 1, 2], dtype=np.int8), size=shape)
+    accuracy = np.where(mask_code == 0, 10.0 ** rng.uniform(-3, 4, size=shape), np.nan)
+    return CoverageGrid(
+        spec=spec,
+        lat_deg=spec.lat_values(),
+        lon_deg=spec.lon_values(),
+        accuracy_m=accuracy,
+        usable_count=rng.integers(0, 301, size=shape).astype(np.uint16),
+        mask_code=mask_code,
+        station_ids=[f"s{i}" for i in range(300)],
+    )
+
+
 def strip_grid(n_lat, n_lon):
     stations, params, prop, noise = scenario()
     step = 0.1  # a single node along an axis needs an extent under one step
@@ -471,6 +530,7 @@ WRITER_GRIDS = {
     "both_masks": shipped_grid_with_both_masks,
     "negative_coordinates": negative_coordinate_grid,
     "interleaved_masks": interleaved_mask_grid,
+    "many_counts": many_counts_grid,
     "one_row": lambda: strip_grid(1, 17),
     "one_column": lambda: strip_grid(17, 1),
 }
@@ -528,7 +588,7 @@ class TestPgmOutput:
 
 class TestMemory:
     """A coverage map costs about 10 B/cell: no per-station SNR, no string
-    masks and no grid-sized temporaries in the PGM writer."""
+    masks and no grid-sized temporaries in the PGM and CSV writers."""
 
     def grid(self):
         stations, params, prop, _ = scenario()
@@ -555,6 +615,20 @@ class TestMemory:
         # a row's float temporaries and its pixel strings, at most ~100 B each
         cells, one_row = grid.accuracy_m.size, 100 * grid.lon_deg.size
         assert peak < cells + one_row
+
+    def test_csv_writer_holds_its_piece_table_and_one_row(self, tmp_path):
+        grid = self.grid()
+        tracemalloc.start()
+        try:
+            write_coverage_csv(grid, tmp_path / "map.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one piece string per mask code, usable count that occurs and
+        # longitude, and a row's strings, at most ~100 B each
+        cells, n_lon = grid.accuracy_m.size, grid.lon_deg.size
+        pieces = len(MASK_REASONS) * np.unique(grid.usable_count).size * n_lon
+        assert peak < cells + 100 * (pieces + 2 * n_lon)
 
 
 class TestContour:

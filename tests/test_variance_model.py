@@ -233,6 +233,16 @@ def test_window_values_checked_by_fit():
     fit_params([("s", 1.0, 0.0), ("s", 2.0, 1.0)])
 
 
+def test_generator_of_windows_is_a_named_type_error():
+    windows = [("s", 1.0, 0.5), ("s", 2.0, 1.0)]
+    msg = r"^windows must be a sequence or structured array, got generator$"
+    with pytest.raises(TypeError, match=msg):
+        fit_params(w for w in windows)
+    with pytest.raises(TypeError, match=r"got list_iterator$"):
+        fit_params(iter(windows))
+    fit_params(windows)
+
+
 @pytest.mark.parametrize("trim_fraction", [0.0, 0.1])
 def test_windows_extended_per_station_fit_like_joined_windows(trim_fraction):
     # the glue of demos/01 and benchmarks/worker.py::pass_fit_logs: one
