@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 
 import numpy as np
 
@@ -23,6 +24,7 @@ STATION = "station_id"
 # csv.reader before Python 3.11, and numpy strips \x1c-\x1f around a
 # number where float() rejects them.
 _LOOP_ONLY_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_RECORD_BYTE = re.compile(rb"[^\r\n]")  # found after the header line, without copying the body
 _WRITE_BLOCK = 65536  # records per formatted string, so a large table needs no large temporaries
 
 
@@ -31,13 +33,14 @@ def write_table(path, columns: tuple[str, ...], groups: dict[str, list[np.ndarra
 
     CRLF line ends, each number as its ``repr`` (read back bit-exactly), and
     the station id framed as ``csv.writer`` frames it; a table without a
-    ``station_id`` column takes the single group ``""``.
+    ``station_id`` column takes the single group ``""``. A column may also be
+    an object array of number texts, written as they are.
     """
     station = columns.index(STATION) if STATION in columns else None
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(columns) + "\r\n")
         for sid, cols in groups.items():
-            fields = ["%r"] * len(cols)
+            fields = ["%s"] * len(cols)  # a float's str is its repr
             if station is not None:
                 if any(c in sid for c in ',"\r\n'):
                     sid = '"' + sid.replace('"', '""') + '"'
@@ -68,26 +71,37 @@ def read_table(path, columns: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
     return _read_numpy(path, columns) or _read_rows(path, columns)
 
 
-def _read_numpy(path, columns) -> dict[str, list[np.ndarray]] | None:
-    """The table from numpy's C parser, or None when the row loop must read it."""
+def load_clean(path, columns: tuple[str, ...], dtype) -> np.ndarray | None:
+    """The records of a clean file as one ``np.loadtxt`` structured array of ``dtype``, else None.
+
+    A clean file has the header ``columns`` on its first line, at least one
+    record, none of the bytes on which numpy's parser and the row loop
+    disagree and no line over csv's field size limit; the records are split
+    as the row loop splits them. None also when numpy cannot convert a field.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    first, _, body = data.partition(b"\n")
+    end = data.find(b"\n")
     # with no record after the header loadtxt warns and returns nothing
     if (
-        first.removesuffix(b"\r") != ",".join(columns).encode()
-        or not body.lstrip(b"\r\n")
+        end < 0
+        or data[:end].removesuffix(b"\r") != ",".join(columns).encode()
+        or not _RECORD_BYTE.search(data, end + 1)
         or any(b in data for b in _LOOP_ONLY_BYTES)
         or _has_long_line(data, csv.field_size_limit())
     ):
         return None
-    del data, body  # numpy reads the file itself
-    dtype = [(c, object if c == STATION else float) for c in columns]
+    del data  # numpy reads the file itself
     try:
-        table = np.loadtxt(
-            path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="utf-8"
-        )
+        return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1, encoding="utf-8")
     except ValueError:
+        return None
+
+
+def _read_numpy(path, columns) -> dict[str, list[np.ndarray]] | None:
+    """The table from numpy's C parser, or None when the row loop must read it."""
+    table = load_clean(path, columns, [(c, object if c == STATION else float) for c in columns])
+    if table is None:
         return None
     numeric = [c for c in columns if c != STATION]
     if not all(np.isfinite(table[c]).all() for c in numeric):

@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import load_clean, read_table, write_table
 from .errors import (
     NonMonotonicAxesError,
     OutOfGridBoundsError,
@@ -35,6 +35,8 @@ DEFAULT_REF_FIELD_DBUV_M = 109.5  # at 1 km per 1 kW; config default, not a meas
 DEFAULT_ATTEN_DB_PER_KM = 0.03  # excess groundwave attenuation; config default
 
 GRID_COLUMNS = ("lat_deg", "lon_deg", "value_dbuv_m")
+# bytes per coordinate on the fast lattice path; the longest float repr has 24
+_COORD_TEXT = "S25"
 
 
 def wavelength_m(carrier_hz: float) -> float:
@@ -65,11 +67,15 @@ class TransmitterStation:
 
 
 class FieldGrid:
-    """A rectangular lat/lon lattice of dB(uV/m) values, bilinearly interpolated."""
+    """A rectangular lat/lon lattice of dB(uV/m) values, bilinearly interpolated.
+
+    The axes are read-only copies of the ones given. Their bounds and
+    interiors are taken once here, so a point query does no axis slicing.
+    """
 
     def __init__(self, lat_deg, lon_deg, values_dbuv_m):
-        self.lat_deg = np.asarray(lat_deg, dtype=float)
-        self.lon_deg = np.asarray(lon_deg, dtype=float)
+        self.lat_deg = np.array(lat_deg, dtype=float)
+        self.lon_deg = np.array(lon_deg, dtype=float)
         self.values_dbuv_m = np.asarray(values_dbuv_m, dtype=float)
         if self.lat_deg.ndim != 1 or self.lon_deg.ndim != 1:
             raise ValueError("axes must be 1-D")
@@ -78,11 +84,14 @@ class FieldGrid:
         for name, axis in (("lat", self.lat_deg), ("lon", self.lon_deg)):
             if np.any(np.diff(axis) <= 0.0):
                 raise NonMonotonicAxesError(f"{name} axis is not strictly increasing")
+            axis.flags.writeable = False
         if self.values_dbuv_m.shape != (self.lat_deg.size, self.lon_deg.size):
             raise ValueError(
                 f"values shape {self.values_dbuv_m.shape} does not match axes "
                 f"({self.lat_deg.size}, {self.lon_deg.size})"
             )
+        self._lat_inner, self._lon_inner = self.lat_deg[1:-1], self.lon_deg[1:-1]
+        self._bounds = tuple(float(a[k]) for a in (self.lat_deg, self.lon_deg) for k in (0, -1))
 
     def value_at(self, lat_deg, lon_deg):
         """Bilinear interpolation; exact at nodes, continuous across cells.
@@ -94,11 +103,14 @@ class FieldGrid:
         # [()] turns a scalar query into a numpy scalar, whose arithmetic costs less than a 0-d array's
         lat = np.asarray(lat_deg, dtype=float)[()]
         lon = np.asarray(lon_deg, dtype=float)[()]
+        lat_lo, lat_hi, lon_lo, lon_hi = self._bounds
+        outside = (lat < lat_lo) | (lat > lat_hi) | (lon < lon_lo) | (lon > lon_hi)
+        # numpy's False scalar is a singleton; testing for it spares a scalar query the costly .any()
+        if outside is not np.False_ and outside.any():
+            raise OutOfGridBoundsError(f"query outside lattice lat [{lat_lo}, {lat_hi}], lon [{lon_lo}, {lon_hi}]")
         ya, xa = self.lat_deg, self.lon_deg
-        if ((lat < ya[0]) | (lat > ya[-1]) | (lon < xa[0]) | (lon > xa[-1])).any():
-            raise OutOfGridBoundsError(f"query outside lattice lat [{ya[0]}, {ya[-1]}], lon [{xa[0]}, {xa[-1]}]")
-        i = ya[1:-1].searchsorted(lat, side="right")
-        j = xa[1:-1].searchsorted(lon, side="right")
+        i = self._lat_inner.searchsorted(lat, side="right")
+        j = self._lon_inner.searchsorted(lon, side="right")
         t = (lat - ya[i]) / (ya[i + 1] - ya[i])
         u = (lon - xa[j]) / (xa[j + 1] - xa[j])
         v = self.values_dbuv_m
@@ -150,10 +162,13 @@ class NoiseSpec:
             raise ValueError("exactly one of level_dbuv_m or grid must be set")
 
     def level_at(self, lat_deg, lon_deg):
-        """Noise level at a point; scalar specs broadcast over array queries."""
+        """Noise level at points of the broadcast shape of ``lat_deg`` and ``lon_deg``, a float at one point.
+
+        A scalar level gives the same shape as a lattice.
+        """
         if self.grid is not None:
             return self.grid.value_at(lat_deg, lon_deg)
-        shape = np.shape(lat_deg)
+        shape = np.broadcast(lat_deg, lon_deg).shape
         return np.full(shape, self.level_dbuv_m) if shape else float(self.level_dbuv_m)
 
 
@@ -209,7 +224,16 @@ def load_field_grid(path) -> FieldGrid:
     ``#`` are ignored. Raises ParseError on malformed or non-finite rows,
     NonMonotonicAxesError on axis-order violations, and ValueError on an
     incomplete lattice.
+
+    A clean file (see ``_table``) whose coordinate text repeats verbatim,
+    as ``write_field_grid`` writes it, is read on a fast path: only the
+    values are parsed as numbers, and each axis value once. Any other valid
+    lattice (a coordinate spelled two ways or padded on some rows, comment
+    lines, quoting) reads the same, only slower.
     """
+    grid = _lattice_from_text(path)
+    if grid is not None:
+        return grid
     groups = read_table(path, GRID_COLUMNS)
     if not groups:
         raise ValueError("grid file has no data rows")
@@ -226,7 +250,49 @@ def load_field_grid(path) -> FieldGrid:
     return FieldGrid(lat_axis, lon_axis, values.reshape(n_lat, n_lon))
 
 
+def _lattice_from_text(path) -> FieldGrid | None:
+    """The lattice of a clean file whose coordinate text tiles it, or None for the float checks to read.
+
+    The coordinates are read as text: the longitude count is the first row
+    whose latitude text differs from row 0's, every block of that many rows
+    must repeat its first latitude text, and every block the first block's
+    longitude texts. Each axis text then goes through ``float()``, as in the
+    row loop, and must give finite, strictly increasing axes.
+    """
+    dtype = [("lat_deg", _COORD_TEXT), ("lon_deg", _COORD_TEXT), ("value_dbuv_m", float)]
+    table = load_clean(path, GRID_COLUMNS, dtype)
+    if table is None:
+        return None
+    lat, lon = table["lat_deg"], table["lon_deg"]
+    n_lon = int(np.argmax(lat != lat[0]))  # 0 when every row has row 0's latitude
+    if n_lon < 2 or lat.size % n_lon:
+        return None
+    lat, lon = lat.reshape(-1, n_lon), lon.reshape(-1, n_lon)
+    if not ((lat == lat[:, :1]).all() and (lon == lon[0]).all()):
+        return None
+    texts = lat[:, 0].tolist() + lon[0].tolist()
+    values = table["value_dbuv_m"].reshape(lat.shape).copy()  # so the text table can go
+    del table, lat, lon
+    # a field as wide as the text may have been cut short
+    if max(map(len, texts)) >= np.dtype(_COORD_TEXT).itemsize or not np.isfinite(values).all():
+        return None
+    try:
+        # float() of bytes reads ASCII only; any other text goes to the row loop
+        axes = np.array([float(t) for t in texts])
+    except ValueError:
+        return None
+    lat_axis, lon_axis = np.split(axes, [len(values)])
+    if not (np.isfinite(axes).all() and (np.diff(lat_axis) > 0.0).all() and (np.diff(lon_axis) > 0.0).all()):
+        return None
+    return FieldGrid(lat_axis, lon_axis, values)
+
+
 def write_field_grid(grid: FieldGrid, path) -> None:
-    """Write a lattice CSV in the canonical lat-major order; its values read back bit-exactly."""
-    lat, lon = np.meshgrid(grid.lat_deg, grid.lon_deg, indexing="ij")
-    write_table(path, GRID_COLUMNS, {"": [lat.ravel(), lon.ravel(), grid.values_dbuv_m.ravel()]})
+    """Write a lattice CSV in the canonical lat-major order; its values read back bit-exactly.
+
+    Each axis value is formatted once and its text repeated, so the file
+    takes ``load_field_grid``'s fast path.
+    """
+    lat, lon = (np.array([repr(x) for x in axis.tolist()], dtype=object) for axis in (grid.lat_deg, grid.lon_deg))
+    columns = [np.repeat(lat, lon.size), np.tile(lon, lat.size), grid.values_dbuv_m.ravel()]
+    write_table(path, GRID_COLUMNS, {"": columns})

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmodesim._table
+import rmodesim.propagation
 from helpers import (
     csv_writer_field_grid,
     csv_writer_measurement_csv,
@@ -52,6 +53,12 @@ MUTATIONS = (
     "empty_station",
     "separator_pad",
     "nul",
+    # lattice only
+    "respell",
+    "pad_coordinate",
+    "wide_coordinate",
+    "swap_rows",
+    "drop_last",
 )
 
 
@@ -70,6 +77,14 @@ def log_rows(rng):
         clock[sid] = clock.get(sid, 0.0) + float(rng.uniform(0.05, 2.0))
         rows.append([repr(clock[sid]), sid, repr(float(rng.uniform(-np.pi, np.pi))), repr(float(rng.normal(15.0, 10.0)))])
     return rows
+
+
+def is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def mutate(rng, rows, mutation):
@@ -99,6 +114,24 @@ def mutate(rng, rows, mutation):
         row[c] = f"{row[c]}\x1c"
     elif mutation == "nul":
         row[c] = f"{row[c]}\0"
+    elif mutation == "pad_coordinate" and len(row) == 3:
+        row[c % 2] = f" {row[c % 2]}"
+    elif mutation in ("respell", "wide_coordinate") and len(row) == 3 and is_float(row[c % 2]):
+        c %= 2
+        if mutation == "respell":
+            # the same float, spelled another way on this row only
+            row[c] = f"{float(row[c]):.17e}" if "e" not in row[c] else repr(float(row[c]))
+        else:
+            # longer than the lattice reader's coordinate text, on every row with this text
+            text = row[c]
+            for other in rows:
+                if other[c] == text:
+                    other[c] = f"{float(text):.30e}"
+    elif mutation == "swap_rows" and len(row) == 3:
+        s = int(rng.integers(len(rows)))
+        rows[r], rows[s] = rows[s], rows[r]
+    elif mutation == "drop_last" and len(row) == 3:
+        rows.pop()
     return {"comment": "# a comment", "blank": "", "spaces": "   "}.get(mutation)
 
 
@@ -147,10 +180,42 @@ def test_clean_files_skip_the_row_loop(tmp_path, monkeypatch, newline):
     grid = tmp_path / "grid.csv"
     grid.write_bytes(newline.join([GRID_HEADER, "0.0,0.0, 1.0", "0.0,1.0,2.0", "1.0,0.0,3.0 ", "1.0,1.0,4.0", ""]).encode())
     assert load_field_grid(grid).values_dbuv_m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    # and a lattice as write_field_grid writes it takes the coordinate-text path,
+    # which never reads the file's coordinates as floats
+    def float_path(path, columns):
+        raise AssertionError(f"{path} went to the float lattice checks")
+
+    monkeypatch.setattr(rmodesim.propagation, "read_table", float_path)
+    lattice = FieldGrid([-0.5, 1.0 / 3.0, 37.1], [125.0, 126.25], np.arange(6.0).reshape(3, 2))
+    write_field_grid(lattice, grid)
+    grid.write_bytes(grid.read_bytes().replace(b"\r\n", newline.encode()))
+    back = load_field_grid(grid)
+    for a, b in ((back.lat_deg, lattice.lat_deg), (back.lon_deg, lattice.lon_deg), (back.values_dbuv_m, lattice.values_dbuv_m)):
+        assert a.tobytes() == b.tobytes()
     log = tmp_path / "log.csv"
     log.write_bytes(newline.join([LOG_HEADER, "1.0,b,0.1, 10", "1.0,a,0.2,11", "2.0,b,0.3,12", ""]).encode())
     logs = parse_measurement_file(log)
     assert [(g.station_id, g.timestamp.tolist()) for g in logs] == [("b", [1.0, 2.0]), ("a", [1.0])]
+
+
+@pytest.mark.parametrize(
+    "lat, lon",
+    [
+        (["1.0", "0.0"], ["0.0", "1.0"]),  # latitude blocks descending
+        (["0.0", "1.0"], ["1.0", "0.0"]),  # longitudes descending in every block
+        (["1", "1.0"], ["0.0", "1.0"]),  # one latitude spelled two ways, block by block
+        (["0.0", "inf"], ["0.0", "1.0"]),
+        (["0.0", "1.0"], ["-inf", "1.0"]),
+        (["nan", "1.0"], ["0.0", "1.0"]),
+    ],
+)
+def test_lattice_whose_text_tiles_but_axes_do_not_matches_row_loop(tmp_path, lat, lon):
+    path = tmp_path / "grid.csv"
+    rows = [f"{a},{b},{k}.5" for k, (a, b) in enumerate((a, b) for a in lat for b in lon)]
+    path.write_text("\n".join([GRID_HEADER, *rows, ""]), encoding="utf-8")
+    got = outcome(load_field_grid, path)
+    assert got == outcome(loop_load_field_grid, path)
+    assert got[0] == "raised"
 
 
 def test_header_then_empty_lines_reads_no_records(tmp_path):
@@ -197,8 +262,9 @@ def test_writers_match_reference_bytes_and_read_back(tmp_path_factory, lat, lon,
     assert (out / "log.csv").read_bytes() == (out / "log_reference.csv").read_bytes()
 
     with mock.patch.object(rmodesim._table, "_read_rows", wraps=rmodesim._table._read_rows) as row_loop:
-        back = load_field_grid(out / "grid.csv")
-        assert not row_loop.called
+        with mock.patch.object(rmodesim.propagation, "read_table", wraps=rmodesim.propagation.read_table) as float_path:
+            back = load_field_grid(out / "grid.csv")
+        assert not row_loop.called and not float_path.called
         logs = parse_measurement_file(out / "log.csv")
         # only a header without records, a quoted station id or a padded one
         # (whose padding the row loop strips) needs the row loop

@@ -115,8 +115,30 @@ class TestSnr:
         with pytest.raises(ValueError):
             NoiseSpec(level_dbuv_m=40.0, grid=FieldGrid([0, 1], [0, 1], np.zeros((2, 2))))
 
+    def test_scalar_level_has_the_broadcast_shape(self):
+        # the same shapes as a lattice noise spec gives
+        scalar = NoiseSpec(level_dbuv_m=40.0)
+        lattice = NoiseSpec(grid=FieldGrid([-1.0, 1.0], [-1.0, 1.0], np.full((2, 2), 40.0)))
+        for lat, lon in ((np.zeros((3, 1)), np.zeros((1, 4))), (0.0, np.zeros(4)), (np.zeros(2), 0.0)):
+            got, want = scalar.level_at(lat, lon), lattice.level_at(lat, lon)
+            assert got.shape == want.shape == np.broadcast(lat, lon).shape
+            assert (got == 40.0).all()
+        assert type(scalar.level_at(0.0, 0.0)) is type(lattice.level_at(0.0, 0.0)) is float
+
 
 class TestFieldGrid:
+    def test_axes_are_read_only_copies(self):
+        lat, lon = np.array([0.0, 1.0, 2.0]), np.array([10.0, 11.0])
+        grid = FieldGrid(lat, lon, np.arange(6.0).reshape(3, 2))
+        lat[2], lon[1] = 5.0, 20.0  # the caller's arrays stay the caller's
+        assert grid.lat_deg.tolist() == [0.0, 1.0, 2.0] and grid.lon_deg.tolist() == [10.0, 11.0]
+        for axis in (grid.lat_deg, grid.lon_deg):
+            with pytest.raises(ValueError, match="read-only"):
+                axis[0] = -1.0
+        assert grid.value_at(2.0, 11.0) == 5.0
+        with pytest.raises(OutOfGridBoundsError, match=r"lat \[0\.0, 2\.0\], lon \[10\.0, 11\.0\]"):
+            grid.value_at(3.0, 10.5)
+
     def test_node_values_exact(self):
         grid = FieldGrid([0.0, 1.0], [10.0, 11.0], np.array([[1.5, 2.5], [3.5, 4.5]]))
         assert grid.value_at(0.0, 10.0) == 1.5

@@ -243,6 +243,13 @@ def test_generator_of_windows_is_a_named_type_error():
     fit_params(windows)
 
 
+def test_tuple_of_windows_fits_like_the_list():
+    windows = [("s", 1.0, 0.5), ("s", 2.0, 1.0), ("t", 1.0, 0.7), ("t", 3.0, 0.9)]
+    assert repr(fit_params(tuple(windows))) == repr(fit_params(windows))
+    records = np.concatenate([np.array(windows[:2], dtype=WINDOW_DTYPE), np.array(windows[2:], dtype=WINDOW_DTYPE)])
+    assert repr(fit_params(tuple(records))) == repr(fit_params(list(records)))
+
+
 @pytest.mark.parametrize("trim_fraction", [0.0, 0.1])
 def test_windows_extended_per_station_fit_like_joined_windows(trim_fraction):
     # the glue of demos/01 and benchmarks/worker.py::pass_fit_logs: one
