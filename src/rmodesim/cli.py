@@ -79,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--seed", type=int, default=0)
     p_syn.add_argument("--out-dir", required=True)
     p_syn.add_argument("--windows", type=int, default=200)
-    p_syn.add_argument("--snr-min", type=float, default=1.0)
-    p_syn.add_argument("--snr-max", type=float, default=1000.0)
     p_syn.add_argument("--snr-spacing", choices=("log", "linear"), default="log")
     p_syn.add_argument("--noise", choices=("none", "gauss"), default="gauss")
     p_syn.set_defaults(func=cmd_synth)
@@ -211,14 +209,13 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if args.windows < 2:
         raise ConfigError(f"--windows must be >= 2, got {args.windows}")
-    if not 0.0 < args.snr_min < args.snr_max:
-        raise ConfigError("need 0 < --snr-min < --snr-max")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # window SNRs span 1 to 1000 (0 to 30 dB)
     if args.snr_spacing == "log":
-        snrs = np.logspace(np.log10(args.snr_min), np.log10(args.snr_max), args.windows)
+        snrs = np.logspace(0.0, 3.0, args.windows)
     else:
-        snrs = np.linspace(args.snr_min, args.snr_max, args.windows)
+        snrs = np.linspace(1.0, 1000.0, args.windows)
     for idx, tx in enumerate(cfg.stations):
         rng = np.random.default_rng([args.seed, idx])
         log = synth_station_log(

@@ -329,6 +329,25 @@ class TestCoverage:
         code, _, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "section, update, named",
+        [
+            ("fit", {"detrend": "quadratic"}, "fit.detrend: expected 'none' or 'linear', got 'quadratic'"),
+            ("stations", {1: 2, "grdi": 3}, "stations[0]: unknown keys [1, 'grdi']"),
+            ("outputs", {"coverage_csv": None}, "outputs.coverage_csv: expected a non-empty string, got None"),
+            ("outputs", {"fit_report_csv": [1, 2]}, "outputs.fit_report_csv: expected a non-empty string, got [1, 2]"),
+            ("noise", {"season": 2024}, "noise.season: expected a non-empty string, got 2024"),
+        ],
+        ids=["bad-value", "mixed-keys", "null-path", "list-path", "number-season"],
+    )
+    def test_config_error_names_the_key_exit_2(self, config_factory, tmp_path, capsys, section, update, named):
+        def mutate(cfg):
+            (cfg[section][0] if section == "stations" else cfg[section]).update(update)
+
+        code, out, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
+        assert (code, out, err) == (2, "", f"error: {named}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
     def test_grid_beyond_pole_exit_2(self, config_factory, tmp_path, capsys):
         def mutate(cfg):
             cfg["grid"] = {"lat_min": 85.0, "lat_max": 95.0, "lon_min": 120.0, "lon_max": 121.0,
@@ -395,6 +414,13 @@ class TestSynth:
         c = (tmp_path / "c" / "s0.csv").read_bytes()
         assert a == b
         assert a != c
+
+    def test_one_window_exit_2(self, config_factory, tmp_path, capsys):
+        code, out, err = run(capsys, "synth", "--config", str(config_factory()), "--out-dir",
+                             str(tmp_path / "logs"), "--windows", "1")
+        assert code == 2
+        assert err == "error: --windows must be >= 2, got 1\n" and out == ""
+        assert not (tmp_path / "logs").exists()
 
     def test_logs_parse_cleanly(self, config_factory, tmp_path, capsys):
         from rmodesim import parse_measurement_file

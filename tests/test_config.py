@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,136 @@ def test_reserved_station_id_rejected(config_factory):
 
     with pytest.raises(ConfigError, match=r"^stations\[2\]\.id: 'C' is reserved"):
         load_config(config_factory(mutate=mutate))
+
+
+def _lattice(tmp_path, *names):
+    grid = FieldGrid([34.0, 38.0], [125.0, 129.0], np.full((2, 2), 60.0))
+    for name in names:
+        write_field_grid(grid, tmp_path / name)
+
+
+def _grid_propagation(cfg, **extra):
+    cfg["propagation"] = {"kind": "grid", "grids": {sid: f"{sid}.csv" for sid in ("s0", "s1", "s2")}}
+    cfg["propagation"]["grids"].update(extra)
+
+
+def _at(cfg, path):
+    """The part of a config dict at the dotted ``path``, list indices as digits; "" is the whole."""
+    for part in path.split(".") if path else ():
+        cfg = cfg[int(part)] if part.isdigit() else cfg[part]
+    return cfg
+
+
+def _setter(path, value):
+    """A config mutation that sets the key at the dotted ``path`` to ``value``."""
+    parent, _, key = path.rpartition(".")
+    return lambda cfg: _at(cfg, parent).__setitem__(key, value)
+
+
+KEY_ERRORS = [
+    ("model", [22.15], r"^model: expected a mapping, got list$"),
+    ("stations", [], r"^stations: expected a non-empty list$"),
+    ("stations", {"id": "s0"}, r"^stations: expected a non-empty list$"),
+    ("stations.0.id", 5, r"^stations\[0\]\.id: expected a non-empty string"),
+    ("stations.0.id", "", r"^stations\[0\]\.id: expected a non-empty string"),
+    ("model.c_m", -1.0, r"^model: c_m must be finite and >= 0, got -1\.0$"),
+    ("propagation.atten_db_per_km", -0.1, r"^propagation: atten_db_per_km must be >= 0, got -0\.1$"),
+    ("propagation.kind", "raytrace", r"^propagation\.kind: expected 'parametric' or 'grid', got 'raytrace'$"),
+    ("propagation", {"kind": "grid", "grids": ["s0.csv"]}, r"^propagation\.grids: expected a mapping"),
+    ("noise.percentile", 1.5, r"^noise: percentile must be in \(0, 1\), got 1\.5$"),
+    ("fit.window_len", 1, r"^fit\.window_len: expected an integer >= 2, got 1$"),
+    ("fit.window_len", True, r"^fit\.window_len: expected an integer >= 2, got True$"),
+    ("fit.detrend", "quadratic", r"^fit\.detrend: expected 'none' or 'linear', got 'quadratic'$"),
+    ("fit.trim_fraction", 1.0, r"^fit\.trim_fraction: expected a fraction in \[0, 1\), got 1\.0$"),
+    ("outputs.contour_csv", 5, r"^outputs\.contour_csv: expected a .*string, got 5$"),
+    ("outputs.pgm_clip_m", 0.0, r"^outputs\.pgm_clip_m: must be > 0, got 0\.0$"),
+    ("outputs.contour_limit_m", -1.0, r"^outputs\.contour_limit_m: must be > 0, got -1\.0$"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", KEY_ERRORS, ids=[f"{p}={v!r}" for p, v, _ in KEY_ERRORS])
+def test_config_error_names_the_key(config_factory, path, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(config_factory(mutate=_setter(path, value)))
+
+
+def test_invalid_yaml_rejected(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("stations: [\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"run\.yaml: invalid YAML: "):
+        load_config(path)
+
+
+def test_unknown_grid_station_rejected(config_factory, tmp_path):
+    _lattice(tmp_path, "s0.csv", "s1.csv", "s2.csv")
+    with pytest.raises(ConfigError, match=r"^propagation\.grids: unknown \w+ \['s9'\]$"):
+        load_config(config_factory(mutate=lambda c: _grid_propagation(c, s9="s0.csv")))
+
+
+def test_non_string_grid_path_rejected(config_factory, tmp_path):
+    _lattice(tmp_path, "s0.csv", "s1.csv", "s2.csv")
+    with pytest.raises(ConfigError, match=r"^propagation\.grids\.s1: expected a .*string, got 5$"):
+        load_config(config_factory(mutate=lambda c: _grid_propagation(c, s1=5)))
+
+
+def test_malformed_lattice_names_key_file_and_row(config_factory, tmp_path):
+    path = tmp_path / "noise.csv"
+    path.write_text("lat_deg,lon_deg,value_dbuv_m\n34.0,125.0,x\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^noise\.grid: {path}: row 2: non-numeric field"):
+        load_config(config_factory(mutate=lambda c: c.update(noise={"grid": "noise.csv"})))
+
+
+@pytest.mark.parametrize("where", ["", "stations.0", "propagation.grids"], ids=["top", "station", "grids"])
+def test_unknown_keys_of_mixed_types_rejected(config_factory, tmp_path, where):
+    _lattice(tmp_path, "s0.csv", "s1.csv", "s2.csv")
+
+    def mutate(cfg):
+        _grid_propagation(cfg)
+        _at(cfg, where).update({1: 2, "grdi": "s0.csv"})
+
+    named = {"": r".*run\.yaml", "stations.0": r"stations\[0\]"}.get(where, re.escape(where))
+    with pytest.raises(ConfigError, match=rf"^{named}: unknown keys \[1, 'grdi'\]$"):
+        load_config(config_factory(mutate=mutate))
+
+
+STRING_KEYS = ["outputs.coverage_csv", "outputs.coverage_pgm", "outputs.fit_report_csv", "outputs.params_yaml", "noise.season"]
+
+
+@pytest.mark.parametrize("value", [None, "", 2024, [1, 2]], ids=["null", "empty", "number", "list"])
+@pytest.mark.parametrize("path", STRING_KEYS)
+def test_string_key_must_be_a_non_empty_string(config_factory, path, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected a non-empty string, got "):
+        load_config(config_factory(mutate=_setter(path, value)))
+
+
+def test_unset_contour_csv_is_no_contour(config_factory):
+    cfg = load_config(config_factory(mutate=_setter("outputs.contour_csv", None)))
+    assert cfg.outputs.contour_csv is None
+
+
+NUMBER_KEYS = [
+    "stations.0.lat_deg",
+    "stations.0.jitter_m",
+    "model.c_m",
+    "propagation.ref_field_dbuv_m",
+    "noise.percentile",
+    "snr_threshold_db",
+    "grid.step_deg",
+    "fit.trim_fraction",
+    "outputs.pgm_clip_m",
+]
+
+
+@pytest.mark.parametrize("path", NUMBER_KEYS)
+def test_null_number_rejected(config_factory, path):
+    # a null stands for "unset" only where a key has no default, as noise.level_dbuv_m does
+    named = re.escape(path).replace(r"stations\.0", r"stations\[0\]")
+    with pytest.raises(ConfigError, match=rf"{named}: expected a number, got None$"):
+        load_config(config_factory(mutate=_setter(path, None)))
+
+
+def test_directory_is_not_a_file(config_factory, tmp_path):
+    with pytest.raises(ConfigError, match="config file not found"):
+        load_config(tmp_path)
+    with pytest.raises(ConfigError, match=r"^noise\.grid: file not found: "):
+        load_config(config_factory(mutate=lambda c: c.update(noise={"grid": "."})))

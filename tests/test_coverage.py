@@ -654,6 +654,13 @@ class TestContour:
         assert "0.200000,0.200000" not in lines[1:]
 
 
+    def test_limit_must_be_positive(self, tmp_path):
+        path = tmp_path / "contour.csv"
+        with pytest.raises(ValueError, match=r"^accuracy_limit_m must be > 0, got 0\.0$"):
+            write_contour_csv(handcrafted_grid(), path, accuracy_limit_m=0.0)
+        assert not path.exists()
+
+
 def test_summary_counts():
     grid = handcrafted_grid()
     s = coverage_summary(grid)

@@ -207,6 +207,7 @@ def test_clean_files_skip_the_row_loop(tmp_path, monkeypatch, newline):
         (["0.0", "inf"], ["0.0", "1.0"]),
         (["0.0", "1.0"], ["-inf", "1.0"]),
         (["nan", "1.0"], ["0.0", "1.0"]),
+        (["0.0", "abc"], ["0.0", "1.0"]),  # only float() of the axis text finds it: the row loop's ParseError
     ],
 )
 def test_lattice_whose_text_tiles_but_axes_do_not_matches_row_loop(tmp_path, lat, lon):
@@ -216,6 +217,14 @@ def test_lattice_whose_text_tiles_but_axes_do_not_matches_row_loop(tmp_path, lat
     got = outcome(load_field_grid, path)
     assert got == outcome(loop_load_field_grid, path)
     assert got[0] == "raised"
+
+
+@pytest.mark.parametrize("read", [load_field_grid, parse_measurement_file])
+def test_empty_file_is_a_parse_error(tmp_path, read):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError, match=r"^row 1: empty file, missing header$"):
+        read(path)
 
 
 def test_header_then_empty_lines_reads_no_records(tmp_path):

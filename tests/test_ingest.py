@@ -150,6 +150,10 @@ class TestWindowVariance:
         samples = window_variance(make_log([0.0] * 250), window_len=100)
         assert len(samples) == 2
 
+    def test_linear_detrend_needs_three_records_per_window(self):
+        with pytest.raises(ValueError, match=r"^linear detrend needs window_len >= 3$"):
+            window_variance(make_log([0.0] * 10), window_len=2, detrend="linear")
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             window_variance(make_log([0.0] * 99), window_len=100)

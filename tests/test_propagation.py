@@ -139,6 +139,12 @@ class TestFieldGrid:
         with pytest.raises(OutOfGridBoundsError, match=r"lat \[0\.0, 2\.0\], lon \[10\.0, 11\.0\]"):
             grid.value_at(3.0, 10.5)
 
+    def test_axes_must_be_1d_with_two_nodes_each(self):
+        with pytest.raises(ValueError, match=r"^axes must be 1-D$"):
+            FieldGrid([[0.0, 1.0]], [10.0, 11.0], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"^each axis needs at least 2 nodes$"):
+            FieldGrid([0.0], [10.0, 11.0], np.zeros((1, 2)))
+
     def test_node_values_exact(self):
         grid = FieldGrid([0.0, 1.0], [10.0, 11.0], np.array([[1.5, 2.5], [3.5, 4.5]]))
         assert grid.value_at(0.0, 10.0) == 1.5

@@ -233,6 +233,32 @@ def test_window_values_checked_by_fit():
     fit_params([("s", 1.0, 0.0), ("s", 2.0, 1.0)])
 
 
+def test_trim_fraction_must_be_under_one():
+    with pytest.raises(ValueError, match=r"^trim_fraction must be in \[0, 1\), got 1\.0$"):
+        fit_params([("s", 1.0, 0.5), ("s", 2.0, 1.0)], trim_fraction=1.0)
+
+
+def test_synth_arguments_checked():
+    with pytest.raises(ValueError, match=r"^noise must be 'none' or 'gauss', got 'uniform'$"):
+        synth_station_log("s", 0.0, 22.15, 999.3, [10.0], 4, noise="uniform")
+    with pytest.raises(ValueError, match=r"^gaussian noise needs an rng$"):
+        synth_station_log("s", 0.0, 22.15, 999.3, [10.0], 4, noise="gauss")
+    with pytest.raises(ValueError, match=r"^snr_linear values must be > 0$"):
+        synth_station_log("s", 0.0, 22.15, 999.3, [10.0, 0.0], 4)
+
+
+def test_synth_odd_window_is_zero_mean_with_the_target_variance():
+    # an odd window ends on a zero, so the +1/-1 pattern stays zero-mean
+    log = synth_station_log("s", 1.41, 22.15, 999.3, [10.0, 100.0], 5)
+    phases = log.phase_rad.reshape(2, 5)
+    assert (phases[:, -1] == 0.0).all()
+    assert np.abs(phases.sum(axis=1)).max() < 1e-15
+    target = (1.41**2 + 22.15**2 / np.array([10.0, 100.0])) * (2 * math.pi / 999.3) ** 2
+    np.testing.assert_allclose(np.var(phases, axis=1, ddof=1), target, rtol=1e-12)
+    windows = window_variance(log, window_len=5, wavelength_m=999.3)
+    np.testing.assert_allclose(windows["toa_var_m2"], target * (999.3 / (2 * math.pi)) ** 2, rtol=1e-12)
+
+
 def test_generator_of_windows_is_a_named_type_error():
     windows = [("s", 1.0, 0.5), ("s", 2.0, 1.0)]
     msg = r"^windows must be a sequence or structured array, got generator$"
