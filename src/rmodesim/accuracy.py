@@ -17,14 +17,14 @@ query ``accuracy_at`` and the coverage sweep both call it.
 
 A geometry is singular when its normal matrix's 2-norm condition number,
 |lambda_max / lambda_min| as ``np.linalg.eigvalsh`` gives it, exceeds
-``CONDITION_LIMIT`` or is undefined. The number is estimated in closed form:
-lambda_max and lambda_mid from Smith's trigonometric eigenvalues of a
-symmetric 3x3 (O. K. Smith, "Eigenvalues of a symmetric 3 x 3 matrix",
-CACM 4(4):168, 1961), lambda_min as det / (lambda_max * lambda_mid) from the
-adjugate's determinant. A cell is handed to ``eigvalsh`` when its estimate
-is not finite, when lambda_mid is too small to resolve, or when it lies
-within 5% of the limit, a band widened by the determinant's rounding error
-bound; so the flags equal the ``eigvalsh`` test's on every cell.
+``CONDITION_LIMIT`` or is undefined. With det = lambda_max lambda_mid
+lambda_min and both lambda_max and lambda_mid at most the trace tr, the
+condition number is at most tr^3 / det. A cell whose bound is below half
+the limit is not singular; every other cell goes to ``eigvalsh``, so the
+flags equal the ``eigvalsh`` test's on every cell (see ``_singular`` for
+the margin). Each cell's weights are first scaled by a power of two so
+that the largest is in [0.5, 1), which keeps tr in [1, 2S) for S stations
+and the cofactors in range; the scale is exact and undone on the inverse.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ CONDITION_LIMIT = 1e12  # normal-matrix condition number above which geometry is
 MASK_TOO_FEW_STATIONS = "TooFewStations"
 MASK_SINGULAR_GEOMETRY = "SingularGeometry"
 MASK_REASONS = ("", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY)  # indexed by mask code
-# The adjugate det is off by up to about 15 eps * lambda_max^3 from rounding;
-# _DET_ERROR bounds that with a margin. The trigonometric lambda_mid is not
-# resolved below _SMALL_MID * lambda_max.
-_CHECK_BAND = 0.05
-_DET_ERROR = 64 * np.finfo(float).eps
-_SMALL_MID = 1e-6
 
 
 def _singular(a, b, c, d, e, f, det, skip):
@@ -63,18 +57,14 @@ def _singular(a, b, c, d, e, f, det, skip):
     Cells where ``skip`` holds never reach ``eigvalsh``. Runs under the
     caller's ``np.errstate``, which must ignore division by zero and invalid values.
     """
-    q = (a + d + f) / 3.0
-    aq, dq, fq = a - q, d - q, f - q
-    p = np.sqrt((aq * aq + dq * dq + fq * fq + 2.0 * (b * b + c * c + e * e)) / 6.0)
-    r = (aq * (dq * fq - e * e) - b * (b * fq - c * e) + c * (b * e - c * dq)) / (2.0 * p * p * p)
-    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
-    lam_max = q + 2.0 * p * np.cos(phi)
-    lam_mid = 3.0 * q - lam_max - (q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))  # trace - largest - smallest
-    cond = np.abs(lam_max / (det / (lam_max * lam_mid)))
-    doubt = _CHECK_BAND + _DET_ERROR * lam_max**3 / np.abs(det)
-    # ~(x > y) is also True where x or y is NaN
-    check = (~(np.abs(cond / CONDITION_LIMIT - 1.0) > doubt) | ~(lam_mid > _SMALL_MID * lam_max)) & ~skip
-    singular = np.array(~(cond <= CONDITION_LIMIT))  # 0-d stays assignable
+    # Margin: a cell is cleared when tr^3 < CONDITION_LIMIT det / 2. The computed det
+    # is off by at most 64 eps tr^3, 0.7% of such a det, so the cell's condition number
+    # is below 0.51 CONDITION_LIMIT. eigvalsh moves lambda_min by at most p eps lambda_max
+    # for a modest p, about p 1e-4 of lambda_min here, so its ratio stays below the limit.
+    tr = a + d + f
+    cleared = tr * tr * tr < 0.5 * CONDITION_LIMIT * det  # False where det is NaN, zero or negative
+    check = ~cleared & ~skip
+    singular = np.array(~cleared)  # 0-d stays assignable
     if check.any():
         m = np.array([a[check], b[check], c[check], b[check], d[check], e[check], c[check], e[check], f[check]])
         lam = np.abs(np.linalg.eigvalsh(m.T.reshape(-1, 3, 3)))
@@ -88,11 +78,16 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray, skip=np.False_):
     ``az_rad`` and ``weights`` share shape (S, ...); a zero weight drops a
     station. A cell is singular when the normal matrix's 2-norm condition
     number is above ``CONDITION_LIMIT`` or undefined (see ``_singular``, which
-    also takes ``skip``). Returns the adjugate's six distinct cofactors
-    ``(cof00, cof01, cof02, cof11, cof12, cof22)``, det and the flags, each of
-    shape (...); the inverse is cofactor / det where not singular.
+    also takes ``skip``). Returns the six distinct cofactors ``(cof00, cof01,
+    cof02, cof11, cof12, cof22)`` and the determinant of the normal matrix
+    with each cell's weights scaled by a power of two, the flags and the
+    exponent ``shift`` that undoes the scale, each of shape (...); the
+    inverse is ``np.ldexp(cofactor / det, shift)`` where not singular.
     """
     cos, sin = np.cos(az_rad), np.sin(az_rad)
+    # each cell's largest weight to [0.5, 1): exact, and keeps the cofactors and det in range
+    _, exponent = np.frexp(weights.max(axis=0))
+    weights = np.ldexp(weights, -exponent)
     wc, ws = weights * cos, weights * sin
     # the normal matrix [[a, b, c], [b, d, e], [c, e, f]]
     a, b, c = (wc * cos).sum(axis=0), (wc * sin).sum(axis=0), wc.sum(axis=0)
@@ -108,7 +103,7 @@ def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray, skip=np.False_):
     det = a * cof00 + b * cof01 + c * cof02
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = _singular(a, b, c, d, e, f, det, skip)
-    return (cof00, cof01, cof02, cof11, cof12, cof22), det, singular
+    return (cof00, cof01, cof02, cof11, cof12, cof22), det, singular, -exponent
 
 
 def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
@@ -124,12 +119,14 @@ def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
         raise TooFewStationsError(f"need >= 3 azimuths, got {az.size}")
     if s2.shape != az.shape:
         raise ValueError(f"sigma2 shape {s2.shape} does not match azimuths {az.shape}")
-    if not np.all(s2 > 0.0):
-        raise ValueError("all sigma2 must be > 0")
-    (c00, c01, c02, c11, c12, c22), det, singular = _inverse_normal(az, 1.0 / s2)
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = 1.0 / s2
+    if not (np.all(s2 > 0.0) and np.all(weights < np.inf)):
+        raise ValueError("all sigma2 must be > 0 with a finite reciprocal")
+    (c00, c01, c02, c11, c12, c22), det, singular, shift = _inverse_normal(az, weights)
     if singular:
         raise SingularGeometryError("normal matrix is singular or too ill-conditioned to invert")
-    return np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det
+    return np.ldexp(np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det, shift)
 
 
 def accuracy95(k: np.ndarray) -> float:
@@ -164,7 +161,8 @@ def accuracy_arrays(
     a station without a jitter parameter, CoincidentPointsError before any
     propagation for a point on a transmitter site (no azimuth),
     NonpositiveSnrError for a NaN SNR and ValueError for shapes that do not
-    broadcast or a usable station with zero variance.
+    broadcast or a usable station whose variance is zero or too small for
+    its reciprocal.
     """
     for tx in stations:
         if tx.station_id not in params.jitter_m:
@@ -189,18 +187,19 @@ def accuracy_arrays(
     sigma2 = toa_variance_m2(jitter, params.c_m, 10.0 ** (snr_db / 10.0))
 
     usable = snr_db >= snr_threshold_db
-    if (usable & (sigma2 == 0.0)).any():
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = np.divide(1.0, sigma2, out=np.zeros_like(sigma2), where=usable)
+    if np.isinf(weights).any():
         raise ValueError(
-            "zero TOA variance for a usable station (jitter and C both zero); "
-            "the weighted solution is undefined"
+            "zero TOA variance for a usable station (jitter and C both zero, or too small "
+            "for its reciprocal); the weighted solution is undefined"
         )
     count = usable.sum(axis=0)
     too_few = count < 3
-    weights = np.divide(1.0, sigma2, out=np.zeros_like(sigma2), where=usable)
-    (cof00, _, _, cof11, _, _), det, singular = _inverse_normal(az, weights, skip=too_few)
+    (cof00, _, _, cof11, _, _), det, singular, shift = _inverse_normal(az, weights, skip=too_few)
     ok = ~too_few & ~singular
     with np.errstate(divide="ignore", invalid="ignore"):
-        horiz = np.maximum(np.where(ok, cof00 / det + cof11 / det, 0.0), 0.0)
+        horiz = np.maximum(np.where(ok, np.ldexp(cof00 / det + cof11 / det, shift), 0.0), 0.0)
     accuracy = np.where(ok, 2.0 * np.sqrt(horiz), np.nan)
     mask = np.where(too_few, 1, np.where(singular, 2, 0)).astype(np.int8)
     return snr_db, az, sigma2, usable, accuracy, count, mask

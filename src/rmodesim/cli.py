@@ -3,7 +3,7 @@
 Every subcommand takes ``--config`` pointing at a run configuration
 (see config module); outputs land next to the config file unless the
 configured paths are absolute. Exit codes: 0 success, 1 stdout closed
-early, 2 validation or parse failure, 3 fit degeneracy, insufficient data
+early, 2 validation, parse or file failure, 3 fit degeneracy, insufficient data
 or NNLS non-convergence, 4 resource limits.
 """
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
             NnlsConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (RmodeError, FileNotFoundError, ValueError) as exc:
+    except (RmodeError, OSError, ValueError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -80,14 +80,16 @@ class _Section:
     A ValueError or toolkit error raised in the block, such as a
     constructor's own check or a lattice's ParseError, becomes a
     ConfigError naming the section. A clean exit rejects every key the
-    block never read.
+    block never read. A key's own errors name it as ``where.key``, or
+    as ``key`` alone where ``where`` is the config file.
     """
 
-    def __init__(self, data, where: str):
+    def __init__(self, data, where: str, top: bool = False):
         if not isinstance(data, dict):
             raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
         self.data = data
         self.where = where
+        self.prefix = "" if top else f"{where}."
         self.seen: set = set()
 
     def __enter__(self):
@@ -114,13 +116,13 @@ class _Section:
         if v is None and default is None and not required:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{self.where}.{key}: expected a number, got {v!r}")
+            raise ConfigError(f"{self.prefix}{key}: expected a number, got {v!r}")
         try:
             x = float(v)
         except OverflowError:  # an integer beyond the float range
             x = math.inf
         if not math.isfinite(x):
-            raise ConfigError(f"{self.where}.{key}: expected a finite number, got {v!r}")
+            raise ConfigError(f"{self.prefix}{key}: expected a finite number, got {v!r}")
         return x
 
     def string(self, key, default=None, required=False):
@@ -128,15 +130,15 @@ class _Section:
         if v is None and default is None and not required:
             return None
         if not isinstance(v, str) or not v:
-            raise ConfigError(f"{self.where}.{key}: expected a non-empty string, got {v!r}")
+            raise ConfigError(f"{self.prefix}{key}: expected a non-empty string, got {v!r}")
         return v
 
 
 def _load_grid_file(sec: _Section, key: str, base_dir: Path) -> FieldGrid:
     path = base_dir / sec.string(key, required=True)
     if not path.is_file():
-        raise ConfigError(f"{sec.where}.{key}: file not found: {path}")
-    with _Section({}, f"{sec.where}.{key}: {path}"):  # reads no keys; names the lattice's errors
+        raise ConfigError(f"{sec.prefix}{key}: file not found: {path}")
+    with _Section({}, f"{sec.prefix}{key}: {path}"):  # reads no keys; names the lattice's errors
         return load_field_grid(path)
 
 
@@ -152,7 +154,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     base_dir = path.parent
 
-    with _Section(raw, str(path)) as top:
+    with _Section(raw, str(path), top=True) as top:
         stations_raw = top.get("stations", required=True)
         if not isinstance(stations_raw, list) or not stations_raw:
             raise ConfigError("stations: expected a non-empty list")

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._table import write_table
 from .ingest import MEASUREMENT_COLUMNS, TWO_PI, StationLog
+from .variance_model import toa_variance_m2
 
 
 def synth_station_log(
@@ -50,7 +51,7 @@ def synth_station_log(
     base_var = float(np.var(base, ddof=1))
 
     phase_scale = (TWO_PI / wavelength_m) ** 2  # m^2 -> rad^2
-    phase_var = (jitter_m * jitter_m + c_m * c_m / snr_values) * phase_scale
+    phase_var = toa_variance_m2(jitter_m, c_m, snr_values) * phase_scale
     if noise == "none":
         phases = base * np.sqrt(phase_var / base_var)[:, None]
     else:

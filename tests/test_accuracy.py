@@ -76,13 +76,14 @@ class TestCovariance:
             covariance([0.5, 0.5, 0.5 + math.pi], [1.0, 2.0, 3.0])
 
     def test_power_of_two_scaling_is_bitwise_exact(self):
+        # at 2^-800 and 2^800 the cofactors of the unscaled normal matrix would overflow or underflow
         rng = np.random.default_rng(3)
         for _ in range(50):
             az = random_geometry(rng, 4)
             s2 = rng.uniform(0.1, 50.0, size=4)
             k1 = covariance(az, s2)
-            k4 = covariance(az, 4.0 * s2)
-            assert np.array_equal(k4, 4.0 * k1)
+            for exponent in (2, -800, 800):
+                assert np.array_equal(covariance(az, np.ldexp(s2, exponent)), np.ldexp(k1, exponent))
 
     def test_validation(self):
         with pytest.raises(TooFewStationsError):
@@ -91,6 +92,8 @@ class TestCovariance:
             covariance(EQUIANGULAR, [1.0, 1.0])
         with pytest.raises(ValueError):
             covariance(EQUIANGULAR, [1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            covariance(EQUIANGULAR, [1.0, 1e-310, 1.0])  # 1 / 1e-310 overflows
 
 
 def eigvalsh_condition(az, w):
@@ -165,9 +168,10 @@ class TestConditionCheck:
         az = np.stack([c[0] for c in cells], axis=-1).reshape((n + zero_weight,) + shape)
         w = np.stack([c[1] for c in cells], axis=-1).reshape(az.shape)
 
-        (c00, c01, c02, c11, c12, c22), det, singular = accuracy_module._inverse_normal(az, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        (c00, c01, c02, c11, c12, c22), det, singular, shift = accuracy_module._inverse_normal(az, w)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             k = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1) / det[..., None]
+            k = np.ldexp(k, shift[..., None])
         k = k.reshape(shape + (3, 3))
         k[singular] = np.eye(3)
         k_ref, singular_ref = eigvalsh_inverse_normal(az, w)
@@ -182,9 +186,9 @@ class TestConditionCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[:-2]) or eigvalsh(m))
         rng = np.random.default_rng(5)
         az = np.stack([random_geometry(rng, 4) for _ in range(200)], axis=-1)
-        _, _, singular = accuracy_module._inverse_normal(az, rng.uniform(0.1, 10.0, az.shape))
+        _, _, singular, _ = accuracy_module._inverse_normal(az, rng.uniform(0.1, 10.0, az.shape))
         assert not singular.any() and seen == []
-        _, _, singular = accuracy_module._inverse_normal(np.full((3, 7), 0.3), np.ones((3, 7)))
+        _, _, singular, _ = accuracy_module._inverse_normal(np.full((3, 7), 0.3), np.ones((3, 7)))
         assert singular.all() and seen == [(7,)]
 
     def test_eigvalsh_skips_points_with_too_few_stations(self, monkeypatch):
@@ -209,6 +213,36 @@ class TestConditionCheck:
         w = np.array([1.0 / st.sigma2_m2 if st.usable else 0.0 for st in before.stations])
         accuracy_module._inverse_normal(az, w)
         assert seen == [(1,)]
+
+
+class TestTraceBound:
+    """tr^3 / det bounds the condition number, so the screen in ``_singular`` clears only cells eigvalsh would."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6))
+    def test_bound_holds_and_cleared_cells_are_below_the_limit(self, seed, n):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        geometries = [(random_geometry(rng, n), rng.uniform(0.1, 10.0, n))]
+        for family in ("identical", "opposite", "weak"):
+            geometry = degenerating_geometry(rng, family, n)
+            geometries.append(geometry(10.0 ** rng.uniform(-8.0, 0.0)))
+            geometries.append(geometry_at_condition(geometry, CONDITION_LIMIT * 10.0 ** rng.uniform(-2.5, 0.5)))
+        az = np.stack([g[0] for g in geometries], axis=-1)
+        w = np.stack([g[1] for g in geometries], axis=-1)
+        with pytest.MonkeyPatch.context() as mp:
+            # every cell that reaches eigvalsh comes back singular, so the flags are the screen's
+            mp.setattr(np.linalg, "eigvalsh", lambda m: np.zeros(m.shape[:-1]))
+            _, _, doubted, _ = accuracy_module._inverse_normal(az, w)
+        for (g_az, g_w), cleared in zip(geometries, ~doubted):
+            with mpmath.workdps(50):
+                g = mpmath.matrix(np.column_stack([np.cos(g_az), np.sin(g_az), np.ones(n)]).tolist())
+                m = g.T * mpmath.diag(g_w.tolist()) * g
+                lam = mpmath.eigsy(m, eigvals_only=True)
+                # tr^3 / det >= lambda_max / lambda_min, in 50-digit arithmetic on the normal matrix
+                assert (m[0, 0] + m[1, 1] + m[2, 2]) ** 3 * min(lam) >= max(lam) * mpmath.det(m)
+            if cleared:
+                assert eigvalsh_condition(g_az, g_w) < CONDITION_LIMIT
 
 
 class TestAccuracy95:
@@ -323,6 +357,40 @@ class TestAccuracyAt:
             self.center, stations, params, self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0
         )
         assert res.masked and res.mask_reason == MASK_SINGULAR_GEOMETRY
+
+    def test_scaling_jitter_and_constant_by_a_power_of_two_is_exact(self):
+        # 2^j for j in [-400, 400] puts the weights at up to 2^+-811; at J = 0 and C = 2^-200 the
+        # cofactors used to overflow to a NaN accuracy in an unmasked cell
+        collinear = [
+            TransmitterStation(f"s{i}", GeoPoint(*destination_point(0.0, 0.0, 0.0, d)), 300.0, 300e3)
+            for i, d in enumerate([100_000.0, 200_000.0, 300_000.0])
+        ]
+        cases = [
+            (self.place_stations([0.0, 120.0, 240.0], 150_000.0), [0.0, 0.0, 0.0]),
+            (self.place_stations([10.0, 95.0, 200.0, 300.0], 250_000.0), [0.0, 0.5, 1.41, 3.0]),
+            (collinear, [0.0, 0.0, 0.0]),
+        ]
+        args = (self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0)
+        for stations, jitter in cases:
+            scaled = lambda j: ModelParams({f"s{i}": math.ldexp(x, j) for i, x in enumerate(jitter)}, math.ldexp(22.15, j))
+            base = accuracy_at(self.center, stations, scaled(0), *args)
+            for j in range(-400, 401):
+                res = accuracy_at(self.center, stations, scaled(j), *args)
+                az = np.array([d.azimuth_rad for d in res.stations])
+                w = np.array([1.0 / d.sigma2_m2 if d.usable else 0.0 for d in res.stations])
+                with np.errstate(all="ignore"):  # the reference inverts the unscaled matrix
+                    _, singular_ref = eigvalsh_inverse_normal(az, w)
+                assert res.mask_reason == (MASK_SINGULAR_GEOMETRY if singular_ref else None)
+                assert res.mask_reason == base.mask_reason
+                if base.accuracy_m is not None:
+                    assert res.accuracy_m == math.ldexp(base.accuracy_m, j)
+
+    @pytest.mark.parametrize("c_m", [0.0, 1e-155], ids=["zero", "no_finite_reciprocal"])  # C^2 / SNR ~ 1e-316
+    def test_usable_station_with_zero_variance_rejected(self, c_m):
+        stations = self.place_stations([0.0, 120.0, 240.0], 150_000.0)
+        params = ModelParams({tx.station_id: 0.0 for tx in stations}, c_m)
+        with pytest.raises(ValueError, match="zero TOA variance for a usable station"):
+            accuracy_at(self.center, stations, params, self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0)
 
     def test_threshold_monotonicity(self):
         stations = self.place_stations([10.0, 130.0, 250.0], 300_000.0)

@@ -489,6 +489,24 @@ def test_reserved_station_id_exit_2(config_factory, tmp_path, capsys):
     assert not (tmp_path / "coverage.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["coverage_csv", "fit_report_csv", "log"])
+def test_directory_where_a_file_is_expected_exit_2(config_factory, tmp_path, capsys, case):
+    def mutate(cfg):
+        if case != "log":
+            cfg.setdefault("outputs", {})[case] = "."
+
+    config = str(config_factory(mutate=mutate))
+    if case == "coverage_csv":
+        argv = ["coverage", "--config", config]
+    else:
+        assert run(capsys, "synth", "--config", config, "--out-dir", str(tmp_path / "logs"), "--windows", "5")[0] == 0
+        logs = [str(tmp_path / "logs")] if case == "log" else sorted(map(str, (tmp_path / "logs").glob("*.csv")))
+        argv = ["fit", "--config", config, *logs]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+
+
 # waits for a line on stdin before running the command, so the reader can
 # close stdout first, as `rmodesim accuracy ... | head -1` does
 _AFTER_GO = (

@@ -342,7 +342,7 @@ NUMBER_KEYS = [
 def test_null_number_rejected(config_factory, path):
     # a null stands for "unset" only where a key has no default, as noise.level_dbuv_m does
     named = re.escape(path).replace(r"stations\.0", r"stations\[0\]")
-    with pytest.raises(ConfigError, match=rf"{named}: expected a number, got None$"):
+    with pytest.raises(ConfigError, match=rf"^{named}: expected a number, got None$"):
         load_config(config_factory(mutate=_setter(path, None)))
 
 
