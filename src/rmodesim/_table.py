@@ -1,10 +1,11 @@
 """The CSV table format of field lattices and receiver logs: one writer, one reader.
 
 Every column is numeric except an optional ``station_id`` column, which
-groups the records by station. A clean file goes through numpy's C parser
-and whole-column checks; any other file (comment or empty lines, csv
-quoting, a bad record) is read by the validating row loop, which accepts
-the same files, gives the same values and names the first bad line.
+groups the records by station. A clean station table goes through numpy's
+C parser and whole-column checks; any other file (comment or empty lines,
+csv quoting, a bad record, no station column) is read by the validating
+row loop, which accepts the same files, gives the same values and names
+the first bad line.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def read_table(path, columns: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
     record, each column a 1-D float64 array of that station's records in
     file order (the ``station_id`` column itself left out). A table with no
     ``station_id`` column comes back as the single group ``""``; a table
-    with a header and no records as ``{}``.
+    with a header and no records as ``{}``. A clean table with a
+    ``station_id`` column is parsed by numpy, any other by the row loop.
 
     The header is the first line that is neither empty nor a ``#``
     comment; later comment and empty lines are skipped and csv quoting is
@@ -68,7 +70,7 @@ def read_table(path, columns: tuple[str, ...]) -> dict[str, list[np.ndarray]]:
     ``csv.field_size_limit()``, or a timestamp (the first column) that does
     not increase strictly within its station.
     """
-    return _read_numpy(path, columns) or _read_rows(path, columns)
+    return (STATION in columns and _read_numpy(path, columns)) or _read_rows(path, columns)
 
 
 def load_clean(path, columns: tuple[str, ...], dtype) -> np.ndarray | None:
@@ -99,16 +101,13 @@ def load_clean(path, columns: tuple[str, ...], dtype) -> np.ndarray | None:
 
 
 def _read_numpy(path, columns) -> dict[str, list[np.ndarray]] | None:
-    """The table from numpy's C parser, or None when the row loop must read it."""
+    """The station table from numpy's C parser, or None when the row loop must read it."""
     table = load_clean(path, columns, [(c, object if c == STATION else float) for c in columns])
     if table is None:
         return None
     numeric = [c for c in columns if c != STATION]
     if not all(np.isfinite(table[c]).all() for c in numeric):
         return None
-    if STATION not in columns:
-        # copies, so no caller keeps the whole structured table alive
-        return {"": [table[c].copy() for c in numeric]}
     ids, first_row, code = np.unique(table[STATION], return_index=True, return_inverse=True)
     groups = {}
     for k in np.argsort(first_row):

@@ -11,7 +11,7 @@ against the config file's directory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -66,7 +66,7 @@ class RunConfig:
     grid: GridSpec | None
     fit: FitOptions
     outputs: OutputPaths
-    base_dir: Path = field(default_factory=Path)
+    base_dir: Path
 
     def resolve(self, name: str) -> Path:
         return self.base_dir / name  # an absolute name replaces base_dir
@@ -224,6 +224,8 @@ def load_config(path) -> RunConfig:
             detrend = fit_sec.get("detrend", "none")
             if detrend not in ("none", "linear"):
                 raise ConfigError(f"fit.detrend: expected 'none' or 'linear', got {detrend!r}")
+            if detrend == "linear" and window_len < 3:
+                raise ConfigError(f"fit.window_len: linear detrend needs an integer >= 3, got {window_len}")
             trim = fit_sec.number("trim_fraction", 0.0)
             if not 0.0 <= trim < 1.0:
                 raise ConfigError(f"fit.trim_fraction: expected a fraction in [0, 1), got {trim}")

@@ -84,13 +84,11 @@ class GridSpec:
 class CoverageGrid:
     """Sweep results: per-cell accuracy or mask reason, plus diagnostics."""
 
-    spec: GridSpec
     lat_deg: np.ndarray  # (n_lat,)
     lon_deg: np.ndarray  # (n_lon,)
     accuracy_m: np.ndarray  # (n_lat, n_lon), NaN where masked
     usable_count: np.ndarray  # (n_lat, n_lon), unsigned, wide enough for every station
     mask_code: np.ndarray  # (n_lat, n_lon) int8 index into MASK_REASONS, 0 where unmasked
-    station_ids: list[str]
 
     @property
     def mask(self) -> np.ndarray:
@@ -138,10 +136,7 @@ def compute_coverage(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_block, blocks))
 
-    return CoverageGrid(
-        spec, lats, lons, accuracy_m=accuracy, usable_count=count, mask_code=mask_code,
-        station_ids=[tx.station_id for tx in stations],
-    )
+    return CoverageGrid(lats, lons, accuracy_m=accuracy, usable_count=count, mask_code=mask_code)
 
 
 def coverage_summary(grid: CoverageGrid) -> dict:

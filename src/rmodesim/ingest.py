@@ -20,7 +20,6 @@ MEASUREMENT_COLUMNS = ("timestamp", "station_id", "phase_rad", "snr_db")
 LOG_COLUMNS = ("timestamp", "phase_rad", "snr_db")
 
 DEFAULT_WINDOW_LEN = 100  # records per variance window
-DEFAULT_WAVELENGTH_M = 299_792_458.0 / 300_000.0  # 300 kHz carrier
 TWO_PI = 2.0 * np.pi
 # one record per variance window: station, linear SNR, TOA variance in m^2
 WINDOW_DTYPE = np.dtype([("station_id", object), ("snr_linear", "f8"), ("toa_var_m2", "f8")])
@@ -31,8 +30,9 @@ class StationLog:
     """One station's logged carrier-phase observations, in time order.
 
     ``timestamp``, ``phase_rad`` and ``snr_db`` are float64 arrays of one
-    length, one entry per logged record. Phase is wrapped to [-pi, pi) as
-    receivers log it; SNR is the receiver-reported value in dB.
+    length, one entry per logged record, with strictly increasing
+    timestamps. Phase is wrapped to [-pi, pi) as receivers log it; SNR is
+    the receiver-reported value in dB.
     """
 
     station_id: str
@@ -45,6 +45,8 @@ class StationLog:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.timestamp.ndim != 1 or not self.timestamp.shape == self.phase_rad.shape == self.snr_db.shape:
             raise ValueError("timestamp, phase_rad and snr_db must be 1-D arrays of one length")
+        if not (self.timestamp[1:] > self.timestamp[:-1]).all():
+            raise ValueError(f"station {self.station_id!r}: timestamps must increase strictly")
 
 
 def parse_measurement_file(path) -> list[StationLog]:
@@ -65,7 +67,10 @@ def parse_measurement_file(path) -> list[StationLog]:
 
 
 def group_by_station(logs) -> dict[str, StationLog]:
-    """Join the logs of each station in input order, so several files can hold one station."""
+    """Join the logs of each station in input order, so several files can hold one station.
+
+    A log given twice or out of time order raises StationLog's ValueError, which names the station.
+    """
     parts: dict[str, list[StationLog]] = {}
     for log in logs:
         parts.setdefault(log.station_id, []).append(log)
@@ -92,12 +97,7 @@ def unwrap_phase(wrapped) -> np.ndarray:
     return out
 
 
-def window_variance(
-    log: StationLog,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    wavelength_m: float = DEFAULT_WAVELENGTH_M,
-    detrend: str = "none",
-) -> np.ndarray:
+def window_variance(log: StationLog, window_len: int, wavelength_m: float, detrend: str = "none") -> np.ndarray:
     """Convert one station's log into TOA-variance windows.
 
     The phase series is unwrapped once over the whole series, then split
@@ -114,10 +114,10 @@ def window_variance(
     receiver clock ramp) before the variance; the residual variance then
     uses denominator n-2. Off by default.
 
-    The log must be time-sorted. Raises InsufficientDataError when it
-    holds fewer than ``window_len`` records and ValueError, naming the
-    window, when a mean SNR overflows the linear ratio (above ~3,083 dB)
-    or underflows it to zero (below ~-3,240 dB).
+    Raises InsufficientDataError when the log holds fewer than
+    ``window_len`` records and ValueError, naming the window, when a mean
+    SNR overflows the linear ratio (above ~3,083 dB) or underflows it to
+    zero (below ~-3,240 dB).
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")

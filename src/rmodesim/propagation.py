@@ -226,10 +226,10 @@ def load_field_grid(path) -> FieldGrid:
     incomplete lattice.
 
     A clean file (see ``_table``) whose coordinate text repeats verbatim,
-    as ``write_field_grid`` writes it, is read on a fast path: only the
-    values are parsed as numbers, and each axis value once. Any other valid
-    lattice (a coordinate spelled two ways or padded on some rows, comment
-    lines, quoting) reads the same, only slower.
+    as ``write_field_grid`` writes it, is read by one numpy parse: only the
+    values are parsed as numbers, each axis value once. Any other lattice
+    (a coordinate spelled two ways or padded on some rows, comment lines,
+    quoting, a bad record) goes to the row loop: the same result, slower.
     """
     grid = _lattice_from_text(path)
     if grid is not None:
@@ -251,7 +251,7 @@ def load_field_grid(path) -> FieldGrid:
 
 
 def _lattice_from_text(path) -> FieldGrid | None:
-    """The lattice of a clean file whose coordinate text tiles it, or None for the float checks to read.
+    """The lattice of a clean file whose coordinate text tiles it, or None for the row loop to read.
 
     The coordinates are read as text: the longitude count is the first row
     whose latitude text differs from row 0's, every block of that many rows

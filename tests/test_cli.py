@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from rmodesim.errors import NnlsConvergenceError
 from rmodesim.ingest import MEASUREMENT_COLUMNS
 
 from helpers import destination_point, long_field_file, subprocess_env
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml"
 
 
 def run(capsys, *argv):
@@ -206,6 +209,26 @@ class TestFit:
         parts[0].write_text(header + "".join(rows[:split]), encoding="utf-8")
         parts[1].write_text(header + "".join(rows[split:]), encoding="utf-8")
         assert fit([logs[0], *parts, logs[2]]) == whole
+
+    @pytest.mark.parametrize("order, code", [("twice", 2), ("split", 0), ("reversed", 2)])
+    def test_station_files_must_be_in_time_order(self, tmp_path, capsys, order, code):
+        # the shipped scenario's seed-3 fit with chungju's log given twice, split in two or split and reversed
+        config = tmp_path / "korea_mf.yaml"
+        config.write_bytes(SHIPPED_CONFIG.read_bytes())
+        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
+            "--seed", "3", "--windows", "50")
+        eocheong, palmi, chungju = (str(tmp_path / "logs" / f"{sid}.csv") for sid in ("eocheong", "palmi", "chungju"))
+        header, *rows = (tmp_path / "logs" / "chungju.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        parts = [tmp_path / "chungju_a.csv", tmp_path / "chungju_b.csv"]
+        for part, chunk in zip(parts, (rows[:2000], rows[2000:])):  # a window boundary at window_len 100
+            part.write_text(header + "".join(chunk), encoding="utf-8")
+        given = {"twice": [chungju, chungju], "split": parts, "reversed": parts[::-1]}[order]
+        got, out, err = run(capsys, "fit", "--config", str(config), eocheong, palmi, *map(str, given))
+        assert got == code
+        if code:
+            assert err == "error: station 'chungju': timestamps must increase strictly\n"
+        else:
+            assert parse_fit_stdout(out) == ({"chungju": 0.0, "eocheong": 0.105551, "palmi": 0.0}, 22.115506)
 
 
 class TestAccuracy:

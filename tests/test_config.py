@@ -258,6 +258,7 @@ KEY_ERRORS = [
     ("fit.window_len", 1, r"^fit\.window_len: expected an integer >= 2, got 1$"),
     ("fit.window_len", True, r"^fit\.window_len: expected an integer >= 2, got True$"),
     ("fit.detrend", "quadratic", r"^fit\.detrend: expected 'none' or 'linear', got 'quadratic'$"),
+    ("fit", {"window_len": 2, "detrend": "linear"}, r"^fit\.window_len: linear detrend needs an integer >= 3, got 2$"),
     ("fit.trim_fraction", 1.0, r"^fit\.trim_fraction: expected a fraction in \[0, 1\), got 1\.0$"),
     ("outputs.contour_csv", 5, r"^outputs\.contour_csv: expected a .*string, got 5$"),
     ("outputs.pgm_clip_m", 0.0, r"^outputs\.pgm_clip_m: must be > 0, got 0\.0$"),

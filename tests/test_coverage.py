@@ -466,13 +466,11 @@ def negative_coordinate_grid():
     accuracy = np.where(mask_code == 0, 10.0 ** rng.uniform(-7, 5, size=shape), np.nan)
     accuracy[0, :3] = [2.5e-7, 1234.0000005, 0.0]
     return CoverageGrid(
-        spec=spec,
         lat_deg=spec.lat_values(),
         lon_deg=spec.lon_values(),
         accuracy_m=accuracy,
         usable_count=rng.integers(0, 4, size=shape).astype(np.uint8),
         mask_code=mask_code,
-        station_ids=["s0"],
     )
 
 
@@ -488,13 +486,11 @@ def interleaved_mask_grid():
     accuracy[mask_code == 0] = np.resize(np.array(special), (mask_code == 0).sum())
     count = np.resize(np.array([0, 255, 3, 17], dtype=np.uint8), shape)
     return CoverageGrid(
-        spec=spec,
         lat_deg=spec.lat_values(),
         lon_deg=spec.lon_values(),
         accuracy_m=accuracy,
         usable_count=count,
         mask_code=mask_code,
-        station_ids=["s0"],
     )
 
 
@@ -506,13 +502,11 @@ def many_counts_grid():
     mask_code = rng.choice(np.array([0, 1, 2], dtype=np.int8), size=shape)
     accuracy = np.where(mask_code == 0, 10.0 ** rng.uniform(-3, 4, size=shape), np.nan)
     return CoverageGrid(
-        spec=spec,
         lat_deg=spec.lat_values(),
         lon_deg=spec.lon_values(),
         accuracy_m=accuracy,
         usable_count=rng.integers(0, 301, size=shape).astype(np.uint16),
         mask_code=mask_code,
-        station_ids=[f"s{i}" for i in range(300)],
     )
 
 
@@ -550,13 +544,11 @@ def test_writers_match_reference_bytes(name, tmp_path):
 def handcrafted_grid():
     spec = GridSpec(0.0, 0.1, 0.0, 0.1, 0.1)
     return CoverageGrid(
-        spec=spec,
         lat_deg=spec.lat_values(),
         lon_deg=spec.lon_values(),
         accuracy_m=np.array([[0.0, 5.0], [np.nan, 20.0]]),
         usable_count=np.array([[3, 3], [1, 3]], dtype=np.uint8),
         mask_code=np.array([[0, 0], [MASK_REASONS.index(MASK_TOO_FEW_STATIONS), 0]], dtype=np.int8),
-        station_ids=["s0"],
     )
 
 
@@ -637,13 +629,11 @@ class TestContour:
         acc = np.full((5, 5), 50.0)
         acc[1:4, 1:4] = 5.0  # 3x3 island under the limit
         grid = CoverageGrid(
-            spec=spec,
             lat_deg=spec.lat_values(),
             lon_deg=spec.lon_values(),
             accuracy_m=acc,
             usable_count=np.full((5, 5), 3, dtype=np.uint8),
             mask_code=np.zeros((5, 5), dtype=np.int8),
-            station_ids=["s0"],
         )
         path = tmp_path / "contour.csv"
         write_contour_csv(grid, path, accuracy_limit_m=10.0)

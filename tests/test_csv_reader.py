@@ -219,6 +219,20 @@ def test_lattice_whose_text_tiles_but_axes_do_not_matches_row_loop(tmp_path, lat
     assert got[0] == "raised"
 
 
+def test_declined_lattice_is_parsed_by_numpy_once(tmp_path):
+    # one latitude spelled another way on one row: the coordinate text does not
+    # tile, so the lattice goes to the row loop without a second float parse
+    path = tmp_path / "grid.csv"
+    rows = ["32.0,125.0,1.5", "32,126.0,2.5", "33.0,125.0,3.5", "33.0,126.0,4.5"]
+    path.write_text("\n".join([GRID_HEADER, *rows, ""]), encoding="utf-8")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        grid = load_field_grid(path)
+    assert loadtxt.call_count == 1
+    reference = loop_load_field_grid(path)
+    for a, b in ((grid.lat_deg, reference.lat_deg), (grid.lon_deg, reference.lon_deg), (grid.values_dbuv_m, reference.values_dbuv_m)):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("read", [load_field_grid, parse_measurement_file])
 def test_empty_file_is_a_parse_error(tmp_path, read):
     path = tmp_path / "empty.csv"

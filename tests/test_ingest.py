@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmodesim import StationLog, parse_measurement_file, unwrap_phase, window_variance
+from rmodesim import StationLog, parse_measurement_file, unwrap_phase, wavelength_m, window_variance
 from rmodesim.errors import EmptyInputError, InsufficientDataError, ParseError
 from rmodesim.ingest import group_by_station
 
@@ -82,6 +82,11 @@ class TestParse:
         assert groups["stn"].timestamp.tolist() == [0.0, 1.0, 2.0]
         assert groups["stn"].phase_rad.tolist() == [0.1, 0.2, 0.4]
 
+    @pytest.mark.parametrize("t0", [1.0, 0.0, -1.0], ids=["overlap", "repeat", "earlier"])
+    def test_logs_of_one_station_out_of_time_order_raise(self, t0):
+        with pytest.raises(ValueError, match=r"^station 'stn': timestamps must increase strictly$"):
+            group_by_station([make_log([0.1, 0.2]), make_log([0.3], station="b"), make_log([0.4], t0=t0)])
+
 
 class TestUnwrap:
     def test_no_wraps_unchanged(self):
@@ -132,7 +137,7 @@ class TestUnwrap:
 
 class TestWindowVariance:
     def test_constant_phase_gives_zero(self):
-        samples = window_variance(make_log([0.7] * 100), window_len=100)
+        samples = window_variance(make_log([0.7] * 100), window_len=100, wavelength_m=wavelength_m(300e3))
         assert len(samples) == 1
         assert samples[0]["toa_var_m2"] == 0.0
 
@@ -147,22 +152,22 @@ class TestWindowVariance:
         assert sample["toa_var_m2"] == pytest.approx(25_295.0, abs=1.0)
 
     def test_partition_discards_remainder(self):
-        samples = window_variance(make_log([0.0] * 250), window_len=100)
+        samples = window_variance(make_log([0.0] * 250), window_len=100, wavelength_m=wavelength_m(300e3))
         assert len(samples) == 2
 
     def test_linear_detrend_needs_three_records_per_window(self):
         with pytest.raises(ValueError, match=r"^linear detrend needs window_len >= 3$"):
-            window_variance(make_log([0.0] * 10), window_len=2, detrend="linear")
+            window_variance(make_log([0.0] * 10), window_len=2, wavelength_m=wavelength_m(300e3), detrend="linear")
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            window_variance(make_log([0.0] * 99), window_len=100)
+            window_variance(make_log([0.0] * 99), window_len=100, wavelength_m=wavelength_m(300e3))
 
     def test_phase_offset_invariance(self):
         rng = np.random.default_rng(5)
         phases = rng.normal(0.0, 0.05, size=300)
-        base = window_variance(make_log(list(phases)), window_len=100)
-        shifted = window_variance(make_log(list(phases + 0.4)), window_len=100)
+        base = window_variance(make_log(list(phases)), window_len=100, wavelength_m=wavelength_m(300e3))
+        shifted = window_variance(make_log(list(phases + 0.4)), window_len=100, wavelength_m=wavelength_m(300e3))
         for a, b in zip(base, shifted):
             assert a["toa_var_m2"] == pytest.approx(b["toa_var_m2"], rel=1e-9, abs=1e-15)
 
@@ -176,7 +181,7 @@ class TestWindowVariance:
 
     def test_snr_mean_in_db_then_linear(self):
         log = StationLog("s", [0.0, 1.0], [0.0, 0.0], [10.0, 20.0])
-        (sample,) = window_variance(log, window_len=2)
+        (sample,) = window_variance(log, window_len=2, wavelength_m=wavelength_m(300e3))
         assert sample["snr_linear"] == pytest.approx(10.0 ** 1.5, rel=1e-12)
 
     def test_unwrap_happens_before_windowing(self):
@@ -202,9 +207,9 @@ class TestWindowVariance:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            window_variance(make_log([0.0] * 10), window_len=1)
+            window_variance(make_log([0.0] * 10), window_len=1, wavelength_m=wavelength_m(300e3))
         with pytest.raises(ValueError):
-            window_variance(make_log([0.0] * 10), window_len=5, detrend="quadratic")
+            window_variance(make_log([0.0] * 10), window_len=5, wavelength_m=wavelength_m(300e3), detrend="quadratic")
         with pytest.raises(ValueError):
             window_variance(make_log([0.0] * 10), window_len=5, wavelength_m=0.0)
 
