@@ -38,7 +38,6 @@ from .errors import (
 )
 from .geodesy import GeoPoint
 from .ingest import group_by_station, parse_measurement_file, window_variance
-from .synth import synth_station_log, write_measurement_csv
 from .variance_model import fit_params, write_fit_report_csv
 
 EXIT_OK = 0
@@ -58,8 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rmodesim",
         description="TOA-variance model fitting and 95% accuracy coverage mapping",
     )
-    # synth stays out of the advertised commands; it is test tooling
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{fit,accuracy,coverage}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", parents=[formatted], help="fit jitter/constant from measurement logs")
     p_fit.add_argument("measurements", nargs="+", help="measurement CSV files")
@@ -73,15 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("coverage", parents=[formatted], help="sweep the configured grid")
     p_cov.add_argument("--threads", type=int, default=0, help="sweep workers, 0 = one per CPU")
     p_cov.set_defaults(func=cmd_coverage)
-
-    # test tooling: synthesize measurement logs from the configured model
-    p_syn = sub.add_parser("synth", parents=[config])
-    p_syn.add_argument("--seed", type=int, default=0)
-    p_syn.add_argument("--out-dir", required=True)
-    p_syn.add_argument("--windows", type=int, default=200)
-    p_syn.add_argument("--snr-spacing", choices=("log", "linear"), default="log")
-    p_syn.add_argument("--noise", choices=("none", "gauss"), default="gauss")
-    p_syn.set_defaults(func=cmd_synth)
 
     return parser
 
@@ -202,35 +191,6 @@ def cmd_coverage(args) -> int:
         print(f"coverage pgm: {pgm_path}")
         if contour_path is not None:
             print(f"contour csv: {contour_path}")
-    return EXIT_OK
-
-
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    if args.windows < 2:
-        raise ConfigError(f"--windows must be >= 2, got {args.windows}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # window SNRs span 1 to 1000 (0 to 30 dB)
-    if args.snr_spacing == "log":
-        snrs = np.logspace(0.0, 3.0, args.windows)
-    else:
-        snrs = np.linspace(1.0, 1000.0, args.windows)
-    for idx, tx in enumerate(cfg.stations):
-        rng = np.random.default_rng([args.seed, idx])
-        log = synth_station_log(
-            tx.station_id,
-            jitter_m=cfg.params.jitter_m[tx.station_id],
-            c_m=cfg.params.c_m,
-            wavelength_m=tx.wavelength_m,
-            snr_linear=snrs,
-            window_len=cfg.fit.window_len,
-            noise=args.noise,
-            rng=rng,
-        )
-        path = out_dir / f"{tx.station_id}.csv"
-        write_measurement_csv(log, path)
-        print(f"wrote {log.timestamp.size} records: {path}")
     return EXIT_OK
 
 

@@ -251,16 +251,8 @@ def load_config(path) -> RunConfig:
         if noise.grid is not None:
             lattices["noise.grid"] = noise.grid
         for name, lattice in lattices.items():
-            if (
-                lattice.lat_deg[0] > grid.lat_min
-                or lattice.lat_deg[-1] < grid.lat_max
-                or lattice.lon_deg[0] > grid.lon_min
-                or lattice.lon_deg[-1] < grid.lon_max
-            ):
-                raise ConfigError(
-                    f"lattice {name!r} does not cover the sweep grid "
-                    f"(lat {grid.lat_min}..{grid.lat_max}, lon {grid.lon_min}..{grid.lon_max})"
-                )
+            with _Section({}, f"lattice {name!r} does not cover the sweep grid"):
+                lattice.value_at([grid.lat_min, grid.lat_max], [grid.lon_min, grid.lon_max])
 
     return RunConfig(
         stations=stations,

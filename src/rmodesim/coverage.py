@@ -29,7 +29,6 @@ CELL_LIMIT = 10_000_000
 # per-station arrays among them) stay near 2 MiB per worker and are never
 # held grid-wide.
 _BLOCK_CELLS = 5000
-_MASK_STRINGS = np.array(MASK_REASONS, dtype="<U16")
 _PIXEL_STRINGS = np.array([str(v) for v in range(256)], dtype=object)
 
 
@@ -90,11 +89,6 @@ class CoverageGrid:
     usable_count: np.ndarray  # (n_lat, n_lon), unsigned, wide enough for every station
     mask_code: np.ndarray  # (n_lat, n_lon) int8 index into MASK_REASONS, 0 where unmasked
 
-    @property
-    def mask(self) -> np.ndarray:
-        """The mask reasons as a ``<U16`` array, "" where unmasked, decoded on each access."""
-        return _MASK_STRINGS[self.mask_code]
-
 
 def compute_coverage(
     spec: GridSpec,
@@ -116,8 +110,12 @@ def compute_coverage(
         raise ValueError(f"threads must be >= 0, got {threads}")
     if len(stations) < 3:
         raise ValueError(f"need >= 3 configured stations, got {len(stations)}")
-    if spec.cell_count > CELL_LIMIT:
-        raise GridTooLargeError(f"{spec.cell_count} cells exceeds the limit of {CELL_LIMIT}")
+    try:
+        cells = spec.cell_count
+    except OverflowError:  # span / step is inf for a step near the float minimum
+        cells = math.inf
+    if cells > CELL_LIMIT:
+        raise GridTooLargeError(f"{cells} cells exceeds the limit of {CELL_LIMIT}")
 
     lats, lons = spec.lat_values(), spec.lon_values()
     accuracy = np.empty((lats.size, lons.size))

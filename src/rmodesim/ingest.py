@@ -69,13 +69,15 @@ def parse_measurement_file(path) -> list[StationLog]:
 def group_by_station(logs) -> dict[str, StationLog]:
     """Join the logs of each station in input order, so several files can hold one station.
 
-    A log given twice or out of time order raises StationLog's ValueError, which names the station.
+    A station with one log gets that log back unchanged. A log given twice
+    or out of time order raises StationLog's ValueError, which names the station.
     """
     parts: dict[str, list[StationLog]] = {}
     for log in logs:
         parts.setdefault(log.station_id, []).append(log)
     return {
-        sid: StationLog(sid, *(np.concatenate([getattr(p, c) for p in ps]) for c in LOG_COLUMNS))
+        sid: ps[0] if len(ps) == 1
+        else StationLog(sid, *(np.concatenate([getattr(p, c) for p in ps]) for c in LOG_COLUMNS))
         for sid, ps in parts.items()
     }
 

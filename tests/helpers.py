@@ -1,4 +1,4 @@
-"""Independent oracles and subprocess plumbing shared by the test modules.
+"""Independent oracles, synthetic logs and subprocess plumbing shared by the test modules.
 
 The oracles are deliberately implemented from standard formulas, not by
 calling the code under test.
@@ -166,6 +166,32 @@ def grid_search_single_station(snr_linear, toa_var, a_max, b_max, n=241, refine=
         a_lo, a_hi = max(0.0, a_grid[i] - 2 * da), a_grid[i] + 2 * da
         b_lo, b_hi = max(0.0, b_grid[j] - 2 * db), b_grid[j] + 2 * db
     return best
+
+
+def synth_logs(config, out_dir, *, seed=0, windows=200, spacing="log", noise="gauss"):
+    """Write one seeded synthetic log per configured station into ``out_dir``; return the sorted paths.
+
+    Each station's ``windows`` windows step through SNRs from 1 to 1000
+    (0 to 30 dB) on a ``log`` or ``linear`` spacing, at the configured
+    jitter, C, wavelength and window length. Station ``idx`` draws from
+    ``default_rng([seed, idx])``, so a seed gives the same bytes every run.
+    """
+    from rmodesim.config import load_config
+    from rmodesim.synth import synth_station_log, write_measurement_csv
+
+    cfg = load_config(config)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    snrs = np.logspace(0.0, 3.0, windows) if spacing == "log" else np.linspace(1.0, 1000.0, windows)
+    paths = []
+    for idx, tx in enumerate(cfg.stations):
+        log = synth_station_log(
+            tx.station_id, cfg.params.jitter_m[tx.station_id], cfg.params.c_m, tx.wavelength_m, snrs,
+            cfg.fit.window_len, noise=noise, rng=np.random.default_rng([seed, idx]),
+        )
+        paths.append(out_dir / f"{tx.station_id}.csv")
+        write_measurement_csv(log, paths[-1])
+    return sorted(paths)
 
 
 def subprocess_env():

@@ -315,8 +315,8 @@ def test_criterion_8_coverage_monotonicity_in_power():
     assert (spec.n_lat, spec.n_lon) == (100, 100)
 
     base = compute_coverage(spec, stations, params, prop, noise, -15.0)
-    n_base = int((base.mask == "").sum())
-    assert 0 < n_base < base.mask.size  # the scenario must exercise the mask edge
+    n_base = int((base.mask_code == 0).sum())
+    assert 0 < n_base < base.mask_code.size  # the scenario must exercise the mask edge
 
     ok = True
     details = []
@@ -326,9 +326,9 @@ def test_criterion_8_coverage_monotonicity_in_power():
             tx.station_id, tx.position, 2.0 * tx.power_w, tx.carrier_hz
         )
         new = compute_coverage(spec, boosted, params, prop, noise, -15.0)
-        n_new = int((new.mask == "").sum())
+        n_new = int((new.mask_code == 0).sum())
         ok &= n_new >= n_base
-        both = (base.mask == "") & (new.mask == "")
+        both = (base.mask_code == 0) & (new.mask_code == 0)
         ok &= bool(np.all(new.accuracy_m[both] <= base.accuracy_m[both]))
         details.append(f"{tx.station_id}: {n_base}->{n_new}")
     _verdict(

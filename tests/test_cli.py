@@ -10,9 +10,10 @@ import yaml
 import rmodesim.variance_model
 from rmodesim.cli import main
 from rmodesim.errors import NnlsConvergenceError
-from rmodesim.ingest import MEASUREMENT_COLUMNS
+from rmodesim.ingest import MEASUREMENT_COLUMNS, parse_measurement_file
+from rmodesim.synth import synth_station_log, write_measurement_csv
 
-from helpers import destination_point, long_field_file, subprocess_env
+from helpers import destination_point, long_field_file, subprocess_env, synth_logs
 
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml"
 
@@ -41,12 +42,7 @@ class TestFit:
             cfg["stations"][2]["jitter_m"] = 1.41
 
         config = config_factory(mutate=mutate)
-        code, out, err = run(
-            capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--noise", "none", "--windows", "60",
-        )
-        assert code == 0, err
-        logs = sorted((tmp_path / "logs").glob("*.csv"))
+        logs = synth_logs(config, tmp_path / "logs", noise="none", windows=60)
         assert len(logs) == 3
 
         code, out, err = run(
@@ -74,12 +70,7 @@ class TestFit:
             cfg["fit"]["window_len"] = 400
 
         config = config_factory(mutate=mutate)
-        code, _, err = run(
-            capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--noise", "gauss", "--windows", "600", "--snr-spacing", "linear", "--seed", "7",
-        )
-        assert code == 0, err
-        logs = sorted((tmp_path / "logs").glob("*.csv"))
+        logs = synth_logs(config, tmp_path / "logs", noise="gauss", windows=600, spacing="linear", seed=7)
         code, out, err = run(capsys, "fit", "--config", str(config), *[str(p) for p in logs])
         assert code == 0, err
         jitter, c_m = parse_fit_stdout(out)
@@ -137,9 +128,7 @@ class TestFit:
 
     def test_nnls_non_convergence_exit_3(self, config_factory, tmp_path, capsys, monkeypatch):
         config = config_factory()
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--noise", "none", "--windows", "20")
-        logs = sorted((tmp_path / "logs").glob("*.csv"))
+        logs = synth_logs(config, tmp_path / "logs", noise="none", windows=20)
 
         def stalled(a, b):
             raise NnlsConvergenceError("nnls failed to converge in 40 iterations")
@@ -153,8 +142,7 @@ class TestFit:
     @staticmethod
     def fit_with_first_snr(capsys, config, tmp_path, snr_db):
         """Exit code and stderr of a fit whose first 100 records log ``snr_db``."""
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--noise", "none", "--windows", "5")
+        synth_logs(config, tmp_path / "logs", noise="none", windows=5)
         log = tmp_path / "logs" / "s0.csv"
         lines = log.read_text().splitlines()
         lines[1:101] = [line.rsplit(",", 1)[0] + f",{snr_db}" for line in lines[1:101]]
@@ -178,9 +166,7 @@ class TestFit:
 
     def test_csv_format(self, config_factory, tmp_path, capsys):
         config = config_factory()
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--noise", "none", "--windows", "40")
-        logs = sorted((tmp_path / "logs").glob("*.csv"))
+        logs = synth_logs(config, tmp_path / "logs", noise="none", windows=40)
         code, out, _ = run(
             capsys, "fit", "--config", str(config), "--format", "csv", *[str(p) for p in logs]
         )
@@ -191,9 +177,7 @@ class TestFit:
 
     def test_station_split_over_two_files_fits_like_one(self, config_factory, tmp_path, capsys):
         config = config_factory()
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--noise", "gauss", "--windows", "20", "--seed", "2")
-        logs = sorted((tmp_path / "logs").glob("*.csv"))
+        logs = synth_logs(config, tmp_path / "logs", noise="gauss", windows=20, seed=2)
 
         def fit(paths):
             outs = [run(capsys, "fit", "--config", str(config), *map(str, paths), *fmt)
@@ -215,8 +199,7 @@ class TestFit:
         # the shipped scenario's seed-3 fit with chungju's log given twice, split in two or split and reversed
         config = tmp_path / "korea_mf.yaml"
         config.write_bytes(SHIPPED_CONFIG.read_bytes())
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--seed", "3", "--windows", "50")
+        synth_logs(config, tmp_path / "logs", seed=3, windows=50)
         eocheong, palmi, chungju = (str(tmp_path / "logs" / f"{sid}.csv") for sid in ("eocheong", "palmi", "chungju"))
         header, *rows = (tmp_path / "logs" / "chungju.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         parts = [tmp_path / "chungju_a.csv", tmp_path / "chungju_b.csv"]
@@ -331,12 +314,15 @@ class TestCoverage:
         assert not (tmp_path / "coverage.csv").exists()
 
     def test_grid_too_large_exit_4(self, config_factory, capsys):
-        def mutate(cfg):
-            cfg["grid"]["step_deg"] = 1e-4  # ~400M cells
+        # 1e-4 gives ~400M cells; at 1e-308 and 5e-324 span / step is inf
+        for step in (1e-4, 1e-308, 5e-324):
+            def mutate(cfg):
+                cfg["grid"]["step_deg"] = step
 
-        code, _, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
-        assert code == 4
-        assert "exceeds" in err
+            code, _, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
+            assert code == 4, step
+            assert err.startswith("error: ") and err.endswith(" cells exceeds the limit of 10000000\n"), err
+            assert err.count("\n") == 1, err
 
     def test_no_grid_section_exit_2(self, config_factory, capsys):
         def mutate(cfg):
@@ -424,37 +410,33 @@ def test_nan_noise_level_exit_2(config_factory, tmp_path, capsys, command):
 
 
 class TestSynth:
-    def test_same_seed_same_bytes(self, config_factory, tmp_path, capsys):
-        config = config_factory()
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "a"),
-            "--seed", "5", "--windows", "20")
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "b"),
-            "--seed", "5", "--windows", "20")
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "c"),
-            "--seed", "6", "--windows", "20")
-        a = (tmp_path / "a" / "s0.csv").read_bytes()
-        b = (tmp_path / "b" / "s0.csv").read_bytes()
-        c = (tmp_path / "c" / "s0.csv").read_bytes()
+    """Synthetic logs come from the library, as the fit tests above write them; the CLI has no synth command."""
+
+    def test_same_seed_same_bytes(self, tmp_path):
+        def log_bytes(name, seed):
+            log = synth_station_log("s0", 0.0, 22.15, 999.3, np.logspace(0.0, 3.0, 20), 100, noise="gauss",
+                                    rng=np.random.default_rng([seed, 0]))
+            write_measurement_csv(log, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        a, b, c = log_bytes("a.csv", 5), log_bytes("b.csv", 5), log_bytes("c.csv", 6)
         assert a == b
         assert a != c
 
-    def test_one_window_exit_2(self, config_factory, tmp_path, capsys):
-        code, out, err = run(capsys, "synth", "--config", str(config_factory()), "--out-dir",
-                             str(tmp_path / "logs"), "--windows", "1")
-        assert code == 2
-        assert err == "error: --windows must be >= 2, got 1\n" and out == ""
-        assert not (tmp_path / "logs").exists()
-
-    def test_logs_parse_cleanly(self, config_factory, tmp_path, capsys):
-        from rmodesim import parse_measurement_file
-
-        config = config_factory()
-        run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path / "logs"),
-            "--windows", "5")
+    def test_logs_parse_cleanly(self, config_factory, tmp_path):
+        synth_logs(config_factory(), tmp_path / "logs", windows=5)
         (log,) = parse_measurement_file(tmp_path / "logs" / "s1.csv")
         assert log.timestamp.size == 500
         assert log.station_id == "s1"
         assert all(-math.pi <= p < math.pi for p in log.phase_rad)
+
+    def test_synth_command_exit_2(self, config_factory, tmp_path, capsys):
+        assert main(["synth", "--config", str(config_factory()), "--out-dir", str(tmp_path / "logs")]) == 2
+        err = capsys.readouterr().err
+        # the usage line lists every command the parser accepts
+        assert err.startswith("usage: rmodesim [-h] {fit,accuracy,coverage} ...\n")
+        assert "invalid choice: 'synth'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
 @pytest.mark.parametrize(
@@ -476,7 +458,6 @@ def test_point_on_a_transmitter_site_exit_2(config_factory, tmp_path, capsys, co
         ["fit", "--threads", "2", "s0.csv"],
         ["accuracy", "--seed", "1", "--lat", "36.0", "--lon", "127.0"],
         ["coverage", "--seed", "1"],
-        ["synth", "--format", "csv", "--out-dir", "logs"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[1]}",
 )
@@ -494,10 +475,7 @@ def test_help_prints_usage_and_returns_0(capsys, argv):
 
 def test_each_subcommand_takes_its_own_options(config_factory, tmp_path, capsys):
     config = str(config_factory())
-    code, _, err = run(capsys, "synth", "--config", config, "--out-dir", str(tmp_path / "logs"),
-                       "--seed", "1", "--windows", "5")
-    assert code == 0, err
-    logs = sorted(map(str, (tmp_path / "logs").glob("*.csv")))
+    logs = list(map(str, synth_logs(config, tmp_path / "logs", seed=1, windows=5)))
     assert run(capsys, "fit", "--config", config, *logs, "--format", "csv")[0] == 0
     assert run(capsys, "coverage", "--config", config, "--threads", "2", "--format", "csv")[0] == 0
 
@@ -522,9 +500,8 @@ def test_directory_where_a_file_is_expected_exit_2(config_factory, tmp_path, cap
     if case == "coverage_csv":
         argv = ["coverage", "--config", config]
     else:
-        assert run(capsys, "synth", "--config", config, "--out-dir", str(tmp_path / "logs"), "--windows", "5")[0] == 0
-        logs = [str(tmp_path / "logs")] if case == "log" else sorted(map(str, (tmp_path / "logs").glob("*.csv")))
-        argv = ["fit", "--config", config, *logs]
+        logs = synth_logs(config, tmp_path / "logs", windows=5)
+        argv = ["fit", "--config", config, *map(str, [tmp_path / "logs"] if case == "log" else logs)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and out == ""

@@ -141,13 +141,19 @@ def test_grid_propagation_missing_station(config_factory, tmp_path):
 
 def test_lattice_must_cover_sweep_grid(config_factory, tmp_path):
     small = FieldGrid([35.5, 36.5], [126.5, 127.5], np.full((2, 2), 60.0))
-    write_field_grid(small, tmp_path / "noise.csv")
-
-    def mutate(cfg):
-        cfg["noise"] = {"grid": "noise.csv"}
-
-    with pytest.raises(ConfigError, match="does not cover"):
-        load_config(config_factory(mutate=mutate))
+    write_field_grid(small, tmp_path / "small.csv")
+    write_field_grid(FieldGrid([34.0, 38.0], [125.0, 129.0], np.full((2, 2), 60.0)), tmp_path / "wide.csv")
+    sections = {
+        "noise.grid": ("noise", {"grid": "small.csv"}),
+        "s2": ("propagation", {"kind": "grid", "grids": {"s0": "wide.csv", "s1": "wide.csv", "s2": "small.csv"}}),
+    }
+    for name, (section, value) in sections.items():
+        with pytest.raises(ConfigError) as info:
+            load_config(config_factory(mutate=lambda cfg: cfg.update({section: value})))
+        assert str(info.value) == (
+            f"lattice {name!r} does not cover the sweep grid: "
+            "query outside lattice lat [35.5, 36.5], lon [126.5, 127.5]"
+        )
 
 
 def test_grid_propagation_missing_file(config_factory):

@@ -127,7 +127,7 @@ class TestComputeCoverage:
         noise = NoiseSpec(level_dbuv_m=150.0)
         spec = GridSpec(35.0, 37.0, 126.0, 128.0, 0.5)
         grid = compute_coverage(spec, stations, params, prop, noise, -15.0)
-        assert np.all(grid.mask == MASK_TOO_FEW_STATIONS)
+        assert np.all(grid.mask_code == MASK_REASONS.index(MASK_TOO_FEW_STATIONS))
         assert np.all(np.isnan(grid.accuracy_m))
         assert np.all(grid.usable_count < 3)
 
@@ -160,7 +160,7 @@ class TestComputeCoverage:
         noise = NoiseSpec(level_dbuv_m=62.0)  # masks the outer cells
         spec = GridSpec(35.0, 37.0, 126.0, 128.0, 0.1)
         base = compute_coverage(spec, stations, params, prop, noise, -15.0, threads=1)
-        assert (base.mask == MASK_TOO_FEW_STATIONS).any() and (base.mask == "").any()
+        assert (base.mask_code == MASK_REASONS.index(MASK_TOO_FEW_STATIONS)).any() and (base.mask_code == 0).any()
         for rows in (1, 3, spec.n_lat, spec.n_lat + 5):
             monkeypatch.setattr(coverage_module, "_BLOCK_CELLS", rows * spec.n_lon)
             for t in (1, 2, 0, 8):
@@ -187,7 +187,7 @@ class TestComputeCoverage:
         tight = compute_coverage(spec, stations, params, prop, noise, -5.0)
         loose = compute_coverage(spec, stations, params, prop, noise, -15.0)
         # lowering the threshold never masks a previously unmasked cell
-        newly_masked = (tight.mask == "") & (loose.mask != "")
+        newly_masked = (tight.mask_code == 0) & (loose.mask_code != 0)
         assert not newly_masked.any()
         assert np.all(loose.usable_count >= tight.usable_count)
 
@@ -222,8 +222,8 @@ class TestComputeCoverage:
                 tx.station_id, tx.position, 2.0 * tx.power_w, tx.carrier_hz
             )
             new = compute_coverage(spec, boosted, params, prop, noise, -15.0)
-            assert (new.mask == "").sum() >= (base.mask == "").sum()
-            both = (base.mask == "") & (new.mask == "")
+            assert (new.mask_code == 0).sum() >= (base.mask_code == 0).sum()
+            both = (base.mask_code == 0) & (new.mask_code == 0)
             assert np.all(new.accuracy_m[both] <= base.accuracy_m[both])
 
 
@@ -276,7 +276,7 @@ def test_point_query_matches_coverage_at_every_node(
     stations, params, prop, noise = equator_scenario(kind, noise_dbuv_m, jitters, c_m, seed)
     spec = GridSpec(-south * step, north * step, -west * step, east * step, step)
     grid = compute_coverage(spec, stations, params, prop, noise, threshold_db, threads=1)
-    assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY} <= set(np.unique(grid.mask))
+    assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY} <= {MASK_REASONS[c] for c in np.unique(grid.mask_code)}
     lat2, lon2 = np.meshgrid(grid.lat_deg, grid.lon_deg, indexing="ij")
     snr_db = np.array([snr_db_at(tx, lat2, lon2, prop, noise) for tx in stations])
     for i, lat in enumerate(grid.lat_deg.tolist()):
@@ -285,7 +285,7 @@ def test_point_query_matches_coverage_at_every_node(
             if np.any(np.abs(snr_db[:, i, j] - threshold_db) < 1e-9):
                 continue
             point = accuracy_at(GeoPoint(lat, lon), stations, params, prop, noise, threshold_db)
-            assert (point.mask_reason or "") == grid.mask[i, j], (lat, lon)
+            assert (point.mask_reason or "") == MASK_REASONS[grid.mask_code[i, j]], (lat, lon)
             assert point.usable_count == grid.usable_count[i, j], (lat, lon)
             if not point.masked:
                 assert point.accuracy_m == pytest.approx(grid.accuracy_m[i, j], rel=1e-9), (lat, lon)
@@ -380,8 +380,8 @@ class TestCsvOutput:
                 lat, lon, acc, count, mask = rows[k]
                 assert lat == float(f"{grid.lat_deg[i]:.6f}")
                 assert lon == float(f"{grid.lon_deg[j]:.6f}")
-                if grid.mask[i, j]:
-                    assert acc is None and mask == grid.mask[i, j]
+                if grid.mask_code[i, j]:
+                    assert acc is None and mask == MASK_REASONS[grid.mask_code[i, j]]
                 else:
                     assert acc == float(f"{grid.accuracy_m[i, j]:.6f}")
                 assert count == int(grid.usable_count[i, j])
@@ -419,21 +419,21 @@ def reference_write_coverage_csv(grid, path):
         w.writerow(["lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask"])
         for i, lat in enumerate(grid.lat_deg):
             for j, lon in enumerate(grid.lon_deg):
-                masked = grid.mask[i, j] != ""
+                masked = grid.mask_code[i, j] != 0
                 w.writerow(
                     [
                         f"{lat:.6f}",
                         f"{lon:.6f}",
                         "" if masked else f"{grid.accuracy_m[i, j]:.6f}",
                         int(grid.usable_count[i, j]),
-                        grid.mask[i, j],
+                        MASK_REASONS[grid.mask_code[i, j]],
                     ]
                 )
 
 
 def reference_write_coverage_pgm(grid, path, accuracy_clip_m):
     """The per-pixel PGM loop the PGM writer must match byte for byte."""
-    unmasked = grid.mask == ""
+    unmasked = grid.mask_code == 0
     clipped = np.minimum(np.where(unmasked, grid.accuracy_m, accuracy_clip_m), accuracy_clip_m)
     pix = np.floor(255.0 * (1.0 - clipped / accuracy_clip_m) + 0.5)
     pix = np.where(unmasked, pix, 0.0).astype(np.int64)
@@ -453,7 +453,7 @@ def shipped_grid_with_both_masks():
     grid = compute_coverage(
         cfg.grid, cfg.stations, cfg.params, cfg.propagation, noise, cfg.snr_threshold_db
     )
-    assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY, ""} <= set(np.unique(grid.mask))
+    assert {MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY, ""} <= {MASK_REASONS[c] for c in np.unique(grid.mask_code)}
     return grid
 
 
@@ -587,7 +587,7 @@ class TestMemory:
         spec = GridSpec(34.5, 37.5, 125.5, 128.5, 0.01)
         assert (spec.n_lat, spec.n_lon) == (301, 301)
         grid = compute_coverage(spec, stations, params, prop, NoiseSpec(level_dbuv_m=62.0), -15.0)
-        assert (grid.mask == "").any() and (grid.mask != "").any()
+        assert (grid.mask_code == 0).any() and (grid.mask_code != 0).any()
         return grid
 
     def test_grid_arrays_at_most_12_bytes_per_cell(self):

@@ -1,7 +1,7 @@
 """Output contract: sha256 digests of what the CLI writes on fixed inputs.
 
 Each case builds its inputs from fixed seeds in a fresh directory, runs
-``rmodesim`` in-process and hashes every file it wrote, the ``synth`` logs
+``rmodesim`` in-process and hashes every file it wrote, the synthetic logs
 and lattice files it read, and its text and CSV stdout (with the run
 directory replaced by ``<run>``). The point case hashes the ``repr`` of
 what ``accuracy_at`` returns along a track. The table holds digests only,
@@ -31,6 +31,8 @@ from rmodesim.config import load_config
 from rmodesim.geodesy import GeoPoint
 from rmodesim.propagation import FieldGrid, write_field_grid
 
+from helpers import synth_logs
+
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml"
 
 DIGESTS_NUMPY = "2.4.6"
@@ -54,7 +56,6 @@ DIGESTS = {
     "coverage-shipped/out/contour_10m.csv": "30454340437b1cf06fa2dfa7dad6035f9ced55ef00381a785965b57659eceab1",
     "coverage-shipped/out/coverage.csv": "1cd93ae1fe4d6dce3bd28da92171ffbc16fd911d921533c5bf42ef876f8d662e",
     "coverage-shipped/out/coverage.pgm": "83bf6d2b6ca6501a58e8cb7dc756ca585ea479398583bb41ff7376ad8880dd15",
-    "fit-gauss/synth-stdout": "596d74cb9b68a631d777771e1c4cbf389a0a45f17a7372787a1f8bd33ccc8ff6",
     "fit-gauss/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
     "fit-gauss/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
     "fit-gauss/logs/palmi.csv": "c76a6c09c15839983e66b3ec96280de5b9e1cdd18f1618df763e850e4c39a61b",
@@ -62,7 +63,6 @@ DIGESTS = {
     "fit-gauss/fit-stdout-csv": "956f662d8cd2059384497d3f733758b7c622cc55f54281c35f77ed5bbcc85056",
     "fit-gauss/out/fit_report.csv": "11534c124728f5225fafe603be4e75b54a77427ec309792a6aa6a637452fc924",
     "fit-gauss/out/fitted_params.yaml": "5ef54ea25af22f21d6a5f3d219ad7c25acd0b680a96b366af2520d342cdc89ec",
-    "fit-gauss-linear/synth-stdout": "596d74cb9b68a631d777771e1c4cbf389a0a45f17a7372787a1f8bd33ccc8ff6",
     "fit-gauss-linear/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
     "fit-gauss-linear/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
     "fit-gauss-linear/logs/palmi.csv": "c76a6c09c15839983e66b3ec96280de5b9e1cdd18f1618df763e850e4c39a61b",
@@ -70,7 +70,6 @@ DIGESTS = {
     "fit-gauss-linear/fit-stdout-csv": "596ad205c4d8aa75f55c5bf65b718e0bb0e3514f7438748505ea6ed0839f0795",
     "fit-gauss-linear/out/fit_report.csv": "a89b1bd3c612fe65fdd1e7571d34b48c5af1d6d96fad1cb02ed305664be38208",
     "fit-gauss-linear/out/fitted_params.yaml": "d42d42aa217535f0dd2e3078240124d708976842f11f902ca5121f23330ab1bf",
-    "fit-gauss-trim/synth-stdout": "596d74cb9b68a631d777771e1c4cbf389a0a45f17a7372787a1f8bd33ccc8ff6",
     "fit-gauss-trim/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
     "fit-gauss-trim/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
     "fit-gauss-trim/logs/palmi.csv": "c76a6c09c15839983e66b3ec96280de5b9e1cdd18f1618df763e850e4c39a61b",
@@ -78,7 +77,6 @@ DIGESTS = {
     "fit-gauss-trim/fit-stdout-csv": "207eb7d3cad44219b852e1fe5429d420be848dff52939cd12fcec283ca231685",
     "fit-gauss-trim/out/fit_report.csv": "50a8329135d5429bf8d4775ab44fe04120ae34f38179428c049d1655ef3d453c",
     "fit-gauss-trim/out/fitted_params.yaml": "619e35c791951571230f895be938487bf290f5d7935f08601f7620934ac46657",
-    "fit-none/synth-stdout": "596d74cb9b68a631d777771e1c4cbf389a0a45f17a7372787a1f8bd33ccc8ff6",
     "fit-none/logs/chungju.csv": "605d1325c2e8b2682eb60a3e852ffdbb923cc6226f2fafd108a4a4d03005b878",
     "fit-none/logs/eocheong.csv": "c48c22505fb84fb938621e20f0f6aba50370dfb76552bede2696d33d894cf1a5",
     "fit-none/logs/palmi.csv": "1cff3ba3010a74141db531d59e5f6d57ac0eebba9f02b7a8932219f66744e1c7",
@@ -113,18 +111,15 @@ def _shipped(run_dir: Path, mutate=None) -> Path:
 
 
 def _fit_case(run_dir: Path, noise: str, detrend: str = "none", trim_fraction: float = 0.0) -> dict[str, bytes]:
-    """``synth`` seeded logs from the shipped config, then ``fit`` them."""
+    """Seeded synthetic logs from the shipped config (``helpers.synth_logs``), then ``fit`` them."""
 
     def mutate(cfg):
         cfg["fit"]["detrend"] = detrend
         cfg["fit"]["trim_fraction"] = trim_fraction
 
     config = _shipped(run_dir, mutate)
-    logs = run_dir / "logs"
-    out = {"synth-stdout": _cli(run_dir, "synth", "--config", str(config), "--out-dir", str(logs),
-                                "--noise", noise, "--windows", "40", "--seed", "3").encode()}
-    paths = sorted(logs.glob("*.csv"))
-    out |= {f"logs/{p.name}": p.read_bytes() for p in paths}
+    paths = synth_logs(config, run_dir / "logs", seed=3, windows=40, noise=noise)
+    out = {f"logs/{p.name}": p.read_bytes() for p in paths}
     args = ["fit", "--config", str(config), *map(str, paths)]
     out["fit-stdout-text"] = _cli(run_dir, *args).encode()
     out["fit-stdout-csv"] = _cli(run_dir, *args, "--format", "csv").encode()

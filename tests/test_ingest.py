@@ -77,8 +77,10 @@ class TestParse:
         assert groups["a"].timestamp.tolist() == [1.0, 2.0]
 
     def test_logs_of_one_station_join_in_input_order(self):
-        groups = group_by_station([make_log([0.1, 0.2]), make_log([0.3], station="b"), make_log([0.4], t0=2.0)])
+        b = make_log([0.3], station="b")
+        groups = group_by_station([make_log([0.1, 0.2]), b, make_log([0.4], t0=2.0)])
         assert list(groups) == ["stn", "b"]
+        assert groups["b"] is b  # a station's only log comes back uncopied
         assert groups["stn"].timestamp.tolist() == [0.0, 1.0, 2.0]
         assert groups["stn"].phase_rad.tolist() == [0.1, 0.2, 0.4]
 
