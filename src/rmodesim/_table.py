@@ -2,10 +2,12 @@
 
 Every column is numeric except an optional ``station_id`` column, which
 groups the records by station. A clean station table goes through numpy's
-C parser and whole-column checks; any other file (comment or empty lines,
-csv quoting, a bad record, no station column) is read by the validating
-row loop, which accepts the same files, gives the same values and names
-the first bad line.
+C parser, with the ids as fixed-width text, and whole-column checks; the
+stations are the ids at the starts of the id column's runs, in order of
+first appearance. Any other file (comment or empty lines, csv quoting, an
+id as wide as that text, a bad record, no station column) is read by the
+validating row loop, which accepts the same files, gives the same values
+and names the first bad line.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ STATION = "station_id"
 # number where float() rejects them.
 _LOOP_ONLY_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _RECORD_BYTE = re.compile(rb"[^\r\n]")  # found after the header line, without copying the body
+# characters per station id on the numpy path (U16 and U32 parse faster
+# than object ids, U64 slower); numpy cuts a longer id short, so an id
+# this wide goes to the row loop
+_ID_WIDTH = 16
+_ID_TEXT = f"U{_ID_WIDTH}"
 _WRITE_BLOCK = 65536  # records per formatted string, so a large table needs no large temporaries
 
 
@@ -102,23 +109,28 @@ def load_clean(path, columns: tuple[str, ...], dtype) -> np.ndarray | None:
 
 def _read_numpy(path, columns) -> dict[str, list[np.ndarray]] | None:
     """The station table from numpy's C parser, or None when the row loop must read it."""
-    table = load_clean(path, columns, [(c, object if c == STATION else float) for c in columns])
+    table = load_clean(path, columns, [(c, _ID_TEXT if c == STATION else float) for c in columns])
     if table is None:
         return None
     numeric = [c for c in columns if c != STATION]
     if not all(np.isfinite(table[c]).all() for c in numeric):
         return None
-    ids, first_row, code = np.unique(table[STATION], return_index=True, return_inverse=True)
+    # a station's rows come in runs; number the runs' ids in order of first appearance
+    sid = table[STATION]
+    starts = np.flatnonzero(np.concatenate(([True], sid[1:] != sid[:-1])))
+    code: dict[str, int] = {}
+    run_code = [code.setdefault(s, len(code)) for s in sid[starts].tolist()]
+    # an empty or padded id is the row loop's to judge, and one as wide as the text may be cut short
+    if not all(s and s == s.strip() and len(s) < _ID_WIDTH for s in code):
+        return None
+    row_code = np.repeat(run_code, np.diff(starts, append=sid.size))
     groups = {}
-    for k in np.argsort(first_row):
-        sid = ids[k]
-        if not sid or sid != sid.strip():
-            return None
-        rows = code == k
+    for s, k in code.items():
+        rows = row_code == k
         cols = [table[c][rows] for c in numeric]
         if not (np.diff(cols[0]) > 0.0).all():
             return None
-        groups[sid] = cols
+        groups[s] = cols
     return groups
 
 

@@ -40,6 +40,8 @@ class GridSpec:
     Node coordinates are ``min + i * step`` (never accumulated), with
     ``floor((max - min) / step + 1e-9) + 1`` nodes per axis: the 1e-9 keeps
     the ``max`` node of a whole number of steps that divides to just under.
+    The node counts and values raise GridTooLargeError when one axis alone
+    has more than ``CELL_LIMIT`` nodes.
     """
 
     lat_min: float
@@ -62,11 +64,11 @@ class GridSpec:
 
     @property
     def n_lat(self) -> int:
-        return math.floor((self.lat_max - self.lat_min) / self.step_deg + 1e-9) + 1
+        return self._nodes(self.lat_max - self.lat_min)
 
     @property
     def n_lon(self) -> int:
-        return math.floor((self.lon_max - self.lon_min) / self.step_deg + 1e-9) + 1
+        return self._nodes(self.lon_max - self.lon_min)
 
     @property
     def cell_count(self) -> int:
@@ -77,6 +79,18 @@ class GridSpec:
 
     def lon_values(self) -> np.ndarray:
         return self.lon_min + np.arange(self.n_lon) * self.step_deg
+
+    def _nodes(self, span: float) -> int:
+        """Nodes on an axis of ``span`` degrees; GridTooLargeError when the axis alone is over CELL_LIMIT."""
+        steps = span / self.step_deg + 1e-9
+        if not steps < CELL_LIMIT:  # inf for a step near the float minimum
+            # the count has hundreds of digits for a tiny step, so give its magnitude
+            spans = (self.lat_max - self.lat_min, self.lon_max - self.lon_min)
+            exponent = sum(max(0.0, math.log10(s) - math.log10(self.step_deg)) for s in spans)
+            raise GridTooLargeError(
+                f"step_deg {self.step_deg!r}: about 1e{math.floor(exponent)} cells exceeds the limit of {CELL_LIMIT}"
+            )
+        return math.floor(steps) + 1
 
 
 @dataclass
@@ -110,10 +124,7 @@ def compute_coverage(
         raise ValueError(f"threads must be >= 0, got {threads}")
     if len(stations) < 3:
         raise ValueError(f"need >= 3 configured stations, got {len(stations)}")
-    try:
-        cells = spec.cell_count
-    except OverflowError:  # span / step is inf for a step near the float minimum
-        cells = math.inf
+    cells = spec.cell_count
     if cells > CELL_LIMIT:
         raise GridTooLargeError(f"{cells} cells exceeds the limit of {CELL_LIMIT}")
 

@@ -268,11 +268,15 @@ def _lattice_from_text(path) -> FieldGrid | None:
     if n_lon < 2 or lat.size % n_lon:
         return None
     lat, lon = lat.reshape(-1, n_lon), lon.reshape(-1, n_lon)
-    if not ((lat == lat[:, :1]).all() and (lon == lon[0]).all()):
+    # compare the coordinates' record bytes, as uint8 faster than as S25: no
+    # NUL reaches here, so equal bytes are equal text
+    raw = table.view([(c, np.uint8, np.dtype(t).itemsize) for c, t in dtype])
+    lat_bytes, lon_bytes = (raw[c].reshape(*lat.shape, -1) for c in ("lat_deg", "lon_deg"))
+    if not ((lat_bytes == lat_bytes[:, :1]).all() and (lon_bytes == lon_bytes[0]).all()):
         return None
     texts = lat[:, 0].tolist() + lon[0].tolist()
     values = table["value_dbuv_m"].reshape(lat.shape).copy()  # so the text table can go
-    del table, lat, lon
+    del table, raw, lat, lon, lat_bytes, lon_bytes
     # a field as wide as the text may have been cut short
     if max(map(len, texts)) >= np.dtype(_COORD_TEXT).itemsize or not np.isfinite(values).all():
         return None

@@ -324,6 +324,15 @@ class TestCoverage:
             assert err.startswith("error: ") and err.endswith(" cells exceeds the limit of 10000000\n"), err
             assert err.count("\n") == 1, err
 
+    def test_grid_too_large_names_the_step_not_the_count(self, config_factory, capsys):
+        # the exact count at this step has 602 digits
+        def mutate(cfg):
+            cfg["grid"]["step_deg"] = 1.0e-300
+
+        code, _, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
+        assert code == 4
+        assert err == "error: step_deg 1e-300: about 1e600 cells exceeds the limit of 10000000\n"
+
     def test_no_grid_section_exit_2(self, config_factory, capsys):
         def mutate(cfg):
             del cfg["grid"]

@@ -198,6 +198,14 @@ class TestComputeCoverage:
         with pytest.raises(GridTooLargeError, match="16008001 cells exceeds the limit of 10000000"):
             compute_coverage(spec, stations, params, prop, noise, -15.0)
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_grid_counts_for_a_tiny_step_are_too_large(self, step):
+        # a named error, not OverflowError or a count of hundreds of digits
+        spec = GridSpec(33.0, 39.0, 123.0, 129.0, step)
+        for count in (lambda: spec.n_lat, lambda: spec.n_lon, lambda: spec.cell_count, spec.lat_values, spec.lon_values):
+            with pytest.raises(GridTooLargeError, match=rf"^step_deg {step!r}: about 1e\d+ cells exceeds the limit of 10000000$"):
+                count()
+
     def test_needs_three_stations(self):
         stations, params, prop, noise = scenario()
         spec = GridSpec(35.0, 37.0, 126.0, 128.0, 1.0)

@@ -8,6 +8,7 @@ kind of file that needs the validating row loop. ``write_field_grid`` and
 """
 
 import csv
+import math
 from unittest import mock
 
 import numpy as np
@@ -70,8 +71,19 @@ def lattice_rows(rng):
     return [[repr(a), repr(b), repr(v)] for a, row in zip(lat.tolist(), values.tolist()) for b, v in zip(lon.tolist(), row)]
 
 
+ID_WIDTH = rmodesim._table._ID_WIDTH
+
+
+def station_ids(rng):
+    """Three ids of 1 to ID_WIDTH + 2 characters, the first from a non-ASCII alphabet.
+
+    An id as wide as numpy's id text sends a clean log to the row loop.
+    """
+    return ["".join(rng.choice(list(letters), size=rng.integers(1, ID_WIDTH + 3))) for letters in ("aé충", "ab", "ab")]
+
+
 def log_rows(rng):
-    stations = ["eocheong", "palmi", "chungju"][: rng.integers(1, 4)]
+    stations = station_ids(rng)[: rng.integers(1, 4)]
     rows, clock = [], {}
     for sid in rng.choice(stations, size=rng.integers(1, 12)).tolist():
         clock[sid] = clock.get(sid, 0.0) + float(rng.uniform(0.05, 2.0))
@@ -196,6 +208,37 @@ def test_clean_files_skip_the_row_loop(tmp_path, monkeypatch, newline):
     log.write_bytes(newline.join([LOG_HEADER, "1.0,b,0.1, 10", "1.0,a,0.2,11", "2.0,b,0.3,12", ""]).encode())
     logs = parse_measurement_file(log)
     assert [(g.station_id, g.timestamp.tolist()) for g in logs] == [("b", [1.0, 2.0]), ("a", [1.0])]
+
+
+@pytest.mark.parametrize("width", [ID_WIDTH - 1, ID_WIDTH, ID_WIDTH + 2])
+def test_station_id_as_wide_as_numpys_text_reaches_the_row_loop(tmp_path, width):
+    # numpy cuts a longer id short without a word, so two ids that share
+    # their first ID_WIDTH characters would merge on its path
+    ids = ["é" * (width - 1) + "a", "é" * (width - 1) + "b"]
+    rows = [f"{k}.5,{ids[k % 2]},0.{k},1{k}" for k in range(6)]
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([LOG_HEADER, *rows, ""]), encoding="utf-8")
+    with mock.patch.object(rmodesim._table, "_read_rows", wraps=rmodesim._table._read_rows) as row_loop:
+        got = outcome(parse_measurement_file, path)
+    assert row_loop.called == (width >= ID_WIDTH)
+    assert got == outcome(loop_parse_measurement_file, path)
+    assert [sid for sid, *_ in got] == ids
+
+
+def test_interleaved_stations_stay_on_numpys_path(tmp_path, monkeypatch):
+    # the id changes on every row, and chungju first appears late in the file
+    def row_loop(path, columns):
+        raise AssertionError(f"{path} went to the row loop")
+
+    rows = [f"{k * 0.1!r},{('eocheong', 'palmi')[k % 2]},{math.sin(k)!r},{k % 17}.25" for k in range(6000)]
+    rows += [f"{k * 0.1!r},{('eocheong', 'palmi', 'chungju')[k % 3]},{math.cos(k)!r},{k % 13}.5" for k in range(6000, 10000)]
+    path = tmp_path / "log.csv"
+    path.write_text("\r\n".join([LOG_HEADER, *rows, ""]), encoding="utf-8", newline="")
+    expected = outcome(loop_parse_measurement_file, path)
+    monkeypatch.setattr(rmodesim._table, "_read_rows", row_loop)
+    got = outcome(parse_measurement_file, path)
+    assert got == expected
+    assert [sid for sid, *_ in got] == ["eocheong", "palmi", "chungju"]
 
 
 @pytest.mark.parametrize(
