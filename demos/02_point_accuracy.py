@@ -39,7 +39,7 @@ stations = [
 ]
 params = ModelParams({"north": 0.0, "southeast": 1.41, "southwest": 0.0}, 22.15)
 prop = ParametricPropagation(ref_field_dbuv_m=109.5, atten_db_per_km=0.03)
-noise = NoiseSpec(season_label="Averaged", percentile=0.95, level_dbuv_m=40.0)
+noise = NoiseSpec(level_dbuv_m=40.0)
 THRESHOLD_DB = -15.0
 
 # ------------------------------------------------------------------

@@ -76,7 +76,7 @@ prop = GridPropagation(grids=grids)
 noise_field = 42.0 - 0.8 * (lat2 - lat2.min())
 noise_path = OUT / "noise_95.csv"
 write_field_grid(FieldGrid(lat_axis, lon_axis, noise_field), noise_path)
-noise = NoiseSpec(season_label="Averaged", percentile=0.95, grid=load_field_grid(noise_path))
+noise = NoiseSpec(grid=load_field_grid(noise_path))
 
 # ------------------------------------------------------------------
 # 3. Point queries hit the interpolated surfaces.

@@ -202,8 +202,6 @@ def load_config(path) -> RunConfig:
             if (level is None) == (noise_sec.get("grid") is None):
                 raise ConfigError("noise: set exactly one of level_dbuv_m or grid")
             noise = NoiseSpec(
-                season_label=noise_sec.string("season", "Averaged"),
-                percentile=noise_sec.number("percentile", 0.95),
                 level_dbuv_m=level,
                 grid=None if level is not None else _load_grid_file(noise_sec, "grid", base_dir),
             )

@@ -40,6 +40,7 @@ class GridSpec:
     Node coordinates are ``min + i * step`` (never accumulated), with
     ``floor((max - min) / step + 1e-9) + 1`` nodes per axis: the 1e-9 keeps
     the ``max`` node of a whole number of steps that divides to just under.
+    A node that rounds a few ulps past ``max`` is clamped to ``max``.
     The node counts and values raise GridTooLargeError when one axis alone
     has more than ``CELL_LIMIT`` nodes.
     """
@@ -75,10 +76,10 @@ class GridSpec:
         return self.n_lat * self.n_lon
 
     def lat_values(self) -> np.ndarray:
-        return self.lat_min + np.arange(self.n_lat) * self.step_deg
+        return np.minimum(self.lat_min + np.arange(self.n_lat) * self.step_deg, self.lat_max)
 
     def lon_values(self) -> np.ndarray:
-        return self.lon_min + np.arange(self.n_lon) * self.step_deg
+        return np.minimum(self.lon_min + np.arange(self.n_lon) * self.step_deg, self.lon_max)
 
     def _nodes(self, span: float) -> int:
         """Nodes on an axis of ``span`` degrees; GridTooLargeError when the axis alone is over CELL_LIMIT."""

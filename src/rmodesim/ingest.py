@@ -15,12 +15,12 @@ import numpy as np
 
 from ._table import read_table
 from .errors import EmptyInputError, InsufficientDataError
+from .geodesy import TWO_PI
 
 MEASUREMENT_COLUMNS = ("timestamp", "station_id", "phase_rad", "snr_db")
 LOG_COLUMNS = ("timestamp", "phase_rad", "snr_db")
 
 DEFAULT_WINDOW_LEN = 100  # records per variance window
-TWO_PI = 2.0 * np.pi
 # one record per variance window: station, linear SNR, TOA variance in m^2
 WINDOW_DTYPE = np.dtype([("station_id", object), ("snr_linear", "f8"), ("toa_var_m2", "f8")])
 
@@ -116,10 +116,10 @@ def window_variance(log: StationLog, window_len: int, wavelength_m: float, detre
     receiver clock ramp) before the variance; the residual variance then
     uses denominator n-2. Off by default.
 
-    Raises InsufficientDataError when the log holds fewer than
-    ``window_len`` records and ValueError, naming the window, when a mean
-    SNR overflows the linear ratio (above ~3,083 dB) or underflows it to
-    zero (below ~-3,240 dB).
+    Raises InsufficientDataError, naming the station, when the log holds
+    fewer than ``window_len`` records and ValueError, naming the window,
+    when a mean SNR overflows the linear ratio (above ~3,083 dB) or
+    underflows it to zero (below ~-3,240 dB).
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
@@ -132,7 +132,7 @@ def window_variance(log: StationLog, window_len: int, wavelength_m: float, detre
     n_windows = log.phase_rad.size // window_len
     if n_windows == 0:
         raise InsufficientDataError(
-            f"{log.phase_rad.size} records, need at least window_len={window_len}"
+            f"station {log.station_id!r}: {log.phase_rad.size} records, need at least window_len={window_len}"
         )
     shape = (n_windows, window_len)
     phase = unwrap_phase(log.phase_rad)[: n_windows * window_len].reshape(shape)

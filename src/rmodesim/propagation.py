@@ -11,7 +11,7 @@ Two propagation variants feed the accuracy model:
 The parametric defaults below are CONFIG DEFAULTS chosen to give
 plausible medium-frequency coverage scales; they are not measured or
 published values. Noise is a scalar level (or imported lattice) in
-dB(uV/m), tagged with the season label and percentile it represents.
+dB(uV/m); no noise tables are bundled.
 """
 
 from __future__ import annotations
@@ -144,30 +144,26 @@ PropagationSpec = Union[ParametricPropagation, GridPropagation]
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level in dB(uV/m): a scalar, or an imported lattice.
+    """Noise level in dB(uV/m): a scalar, or an imported lattice. No noise tables are bundled."""
 
-    ``season_label`` and ``percentile`` are metadata naming which noise
-    condition the level represents; no noise tables are bundled.
-    """
-
-    season_label: str = "Averaged"
-    percentile: float = 0.95
     level_dbuv_m: float | None = None
     grid: FieldGrid | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.percentile < 1.0:
-            raise ValueError(f"percentile must be in (0, 1), got {self.percentile}")
         if (self.level_dbuv_m is None) == (self.grid is None):
             raise ValueError("exactly one of level_dbuv_m or grid must be set")
 
     def level_at(self, lat_deg, lon_deg):
         """Noise level at points of the broadcast shape of ``lat_deg`` and ``lon_deg``, a float at one point.
 
-        A scalar level gives the same shape as a lattice.
+        A scalar level gives the same shape as a lattice. A query outside
+        the lattice raises OutOfGridBoundsError naming the noise lattice.
         """
         if self.grid is not None:
-            return self.grid.value_at(lat_deg, lon_deg)
+            try:
+                return self.grid.value_at(lat_deg, lon_deg)
+            except OutOfGridBoundsError as exc:
+                raise OutOfGridBoundsError(f"noise lattice: {exc}") from None
         shape = np.broadcast(lat_deg, lon_deg).shape
         return np.full(shape, self.level_dbuv_m) if shape else float(self.level_dbuv_m)
 
@@ -178,12 +174,16 @@ def field_strength_dbuv_m(tx: TransmitterStation, lat_deg, lon_deg, spec: Propag
     Parametric variant: reference field scaled by radiated power,
     20*log10 inverse-distance spreading, and the linear excess
     attenuation; raises ZeroDistanceError at the transmitter site.
-    Grid variant: bilinear interpolation of the station's lattice.
+    Grid variant: bilinear interpolation of the station's lattice; a query
+    outside it raises OutOfGridBoundsError naming the station.
     """
     if isinstance(spec, GridPropagation):
         if tx.station_id not in spec.grids:
             raise KeyError(f"no field grid for station {tx.station_id!r}")
-        return spec.grids[tx.station_id].value_at(lat_deg, lon_deg)
+        try:
+            return spec.grids[tx.station_id].value_at(lat_deg, lon_deg)
+        except OutOfGridBoundsError as exc:
+            raise OutOfGridBoundsError(f"field lattice of station {tx.station_id!r}: {exc}") from None
     d_m = haversine_m(tx.position.lat_deg, tx.position.lon_deg, lat_deg, lon_deg)
     if np.any(d_m == 0.0):
         raise ZeroDistanceError(f"field strength undefined at zero distance from {tx.station_id!r}")

@@ -44,13 +44,12 @@ class FitReport:
     """Diagnostics from a model fit.
 
     RSS values are plain (unweighted) model-vs-sample residual sums over
-    the samples that survived trimming.
+    the samples left by trimming, which drops ``len(windows) - sum(n_samples.values())``.
     """
 
     rss_m4: float
     n_samples: Mapping[str, int]
     rss_by_station: Mapping[str, float]
-    n_trimmed: int
 
 
 def toa_variance_m2(jitter_m, c_m, snr_linear):
@@ -146,7 +145,6 @@ def fit_params(windows, trim_fraction: float = 0.0) -> tuple[ModelParams, FitRep
         rss_m4=float(sum(rss_by_station.values())),
         n_samples=dict(zip(station_ids, counts.tolist())),
         rss_by_station=rss_by_station,
-        n_trimmed=windows.size - st.size,
     )
     return params, report
 

@@ -32,7 +32,7 @@ def base_config_dict():
             "ref_field_dbuv_m": 109.5,
             "atten_db_per_km": 0.03,
         },
-        "noise": {"season": "Averaged", "percentile": 0.95, "level_dbuv_m": 40.0},
+        "noise": {"level_dbuv_m": 40.0},
         "snr_threshold_db": -15.0,
         "grid": {
             "lat_min": 35.0,

@@ -238,7 +238,6 @@ def loop_fit_params(windows, trim_fraction=0.0):
     rows = _window_rows(windows)
     if not rows:
         raise InsufficientSamplesError("no variance samples")
-    n_before = len(rows)
     if trim_fraction > 0.0:
         by_station = {}
         for s in rows:
@@ -287,7 +286,6 @@ def loop_fit_params(windows, trim_fraction=0.0):
         rss_m4=float(sum(rss_by_station.values())),
         n_samples=n_samples,
         rss_by_station=rss_by_station,
-        n_trimmed=n_before - len(rows),
     )
     return params, report
 

@@ -11,6 +11,7 @@ import rmodesim.variance_model
 from rmodesim.cli import main
 from rmodesim.errors import NnlsConvergenceError
 from rmodesim.ingest import MEASUREMENT_COLUMNS, parse_measurement_file
+from rmodesim.propagation import FieldGrid, write_field_grid
 from rmodesim.synth import synth_station_log, write_measurement_csv
 
 from helpers import destination_point, long_field_file, subprocess_env, synth_logs
@@ -90,6 +91,13 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--config", str(config_factory()), str(empty))
         assert code == 3
         assert "samples" in err
+
+    def test_log_shorter_than_a_window_names_the_station_exit_3(self, config_factory, tmp_path, capsys):
+        rows = [",".join(MEASUREMENT_COLUMNS)] + [f"{float(i)},s2,0.0,10.0" for i in range(50)]
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit", "--config", str(config_factory()), str(log))
+        assert (code, out, err) == (3, "", "error: station 's2': 50 records, need at least window_len=100\n")
 
     def test_constant_snr_exit_3(self, config_factory, tmp_path, capsys):
         rows = [",".join(MEASUREMENT_COLUMNS)]
@@ -250,6 +258,22 @@ class TestAccuracy:
             assert len(fields) == 6
             assert fields[5] in ("0", "1")
 
+    @pytest.mark.parametrize(
+        "section, value, named",
+        [
+            ("propagation", {"kind": "grid", "grids": {"s0": "wide.csv", "s1": "wide.csv", "s2": "wide.csv"}},
+             "field lattice of station 's0'"),
+            ("noise", {"grid": "wide.csv"}, "noise lattice"),
+        ],
+        ids=["field", "noise"],
+    )
+    def test_point_outside_a_lattice_names_it_exit_2(self, config_factory, tmp_path, capsys, section, value, named):
+        write_field_grid(FieldGrid([34.0, 38.0], [125.0, 129.0], np.full((2, 2), 60.0)), tmp_path / "wide.csv")
+        config = config_factory(mutate=lambda cfg: cfg.update({section: value}))
+        code, out, err = run(capsys, "accuracy", "--config", str(config), "--lat", "33.5", "--lon", "127.0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {named}: query outside lattice lat [34.0, 38.0], lon [125.0, 129.0]\n"
+
     def test_latitude_out_of_range_exit_2(self, config_factory, capsys):
         code, _, err = run(
             capsys, "accuracy", "--config", str(config_factory()), "--lat", "91", "--lon", "0"
@@ -354,9 +378,9 @@ class TestCoverage:
             ("stations", {1: 2, "grdi": 3}, "stations[0]: unknown keys [1, 'grdi']"),
             ("outputs", {"coverage_csv": None}, "outputs.coverage_csv: expected a non-empty string, got None"),
             ("outputs", {"fit_report_csv": [1, 2]}, "outputs.fit_report_csv: expected a non-empty string, got [1, 2]"),
-            ("noise", {"season": 2024}, "noise.season: expected a non-empty string, got 2024"),
+            ("noise", {"season": "Averaged", "percentile": 0.95}, "noise: unknown keys ['percentile', 'season']"),
         ],
-        ids=["bad-value", "mixed-keys", "null-path", "list-path", "number-season"],
+        ids=["bad-value", "mixed-keys", "null-path", "list-path", "retired-noise-labels"],
     )
     def test_config_error_names_the_key_exit_2(self, config_factory, tmp_path, capsys, section, update, named):
         def mutate(cfg):
@@ -375,6 +399,23 @@ class TestCoverage:
         assert code == 2
         assert "grid" in err and "[-90, 90]" in err and out == ""
         assert not (tmp_path / "coverage.csv").exists()
+
+    def test_last_node_rounding_past_the_lattice_edge_exit_0(self, config_factory, tmp_path, capsys):
+        # the grid's last latitude node, 9.957 + 97 * 0.1, rounds a few ulps
+        # above 19.657, where the lattices end
+        lattice = FieldGrid([9.957, 19.657], [120.0, 121.0], np.full((2, 2), 60.0))
+        for sid in ("s0", "s1", "s2"):
+            write_field_grid(lattice, tmp_path / f"{sid}.csv")
+
+        def mutate(cfg):
+            cfg["propagation"] = {"kind": "grid", "grids": {sid: f"{sid}.csv" for sid in ("s0", "s1", "s2")}}
+            cfg["grid"] = {"lat_min": 9.957, "lat_max": 19.657, "lon_min": 120.0, "lon_max": 121.0, "step_deg": 0.1}
+
+        code, out, err = run(capsys, "coverage", "--config", str(config_factory(mutate=mutate)))
+        assert (code, err) == (0, "")
+        assert "cells: 1078\n" in out
+        last = (tmp_path / "coverage.csv").read_text().splitlines()[-1]
+        assert last.startswith("19.657000,121.000000,")
 
     def test_missing_config_exit_2(self, capsys):
         code, _, err = run(capsys, "coverage", "--config", "/no/run.yaml")

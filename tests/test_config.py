@@ -172,7 +172,7 @@ def test_noise_grid_loaded(config_factory, tmp_path):
     write_field_grid(grid, tmp_path / "noise.csv")
 
     def mutate(cfg):
-        cfg["noise"] = {"season": "Averaged", "percentile": 0.95, "grid": "noise.csv"}
+        cfg["noise"] = {"grid": "noise.csv"}
 
     cfg = load_config(config_factory(mutate=mutate))
     assert cfg.noise.grid is not None
@@ -260,7 +260,6 @@ KEY_ERRORS = [
     ("propagation.atten_db_per_km", -0.1, r"^propagation: atten_db_per_km must be >= 0, got -0\.1$"),
     ("propagation.kind", "raytrace", r"^propagation\.kind: expected 'parametric' or 'grid', got 'raytrace'$"),
     ("propagation", {"kind": "grid", "grids": ["s0.csv"]}, r"^propagation\.grids: expected a mapping"),
-    ("noise.percentile", 1.5, r"^noise: percentile must be in \(0, 1\), got 1\.5$"),
     ("fit.window_len", 1, r"^fit\.window_len: expected an integer >= 2, got 1$"),
     ("fit.window_len", True, r"^fit\.window_len: expected an integer >= 2, got True$"),
     ("fit.detrend", "quadratic", r"^fit\.detrend: expected 'none' or 'linear', got 'quadratic'$"),
@@ -317,7 +316,7 @@ def test_unknown_keys_of_mixed_types_rejected(config_factory, tmp_path, where):
         load_config(config_factory(mutate=mutate))
 
 
-STRING_KEYS = ["outputs.coverage_csv", "outputs.coverage_pgm", "outputs.fit_report_csv", "outputs.params_yaml", "noise.season"]
+STRING_KEYS = ["outputs.coverage_csv", "outputs.coverage_pgm", "outputs.fit_report_csv", "outputs.params_yaml"]
 
 
 @pytest.mark.parametrize("value", [None, "", 2024, [1, 2]], ids=["null", "empty", "number", "list"])
@@ -337,7 +336,6 @@ NUMBER_KEYS = [
     "stations.0.jitter_m",
     "model.c_m",
     "propagation.ref_field_dbuv_m",
-    "noise.percentile",
     "snr_threshold_db",
     "grid.step_deg",
     "fit.trim_fraction",

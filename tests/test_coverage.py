@@ -78,6 +78,14 @@ class TestGridSpec:
         assert (spec.n_lat, spec.n_lon) == (4, 4)
         assert spec.lat_values()[-1] == pytest.approx(0.3, abs=1e-9 * 0.1)
 
+    def test_node_rounding_past_max_is_clamped(self):
+        # 9.957 + 97 * 0.1 rounds to 19.657000000000004
+        spec = GridSpec(9.957, 19.657, 120.0, 121.0, 0.1)
+        lats = spec.lat_values()
+        assert 9.957 + 97 * 0.1 > 19.657
+        assert lats[-1] == 19.657
+        assert np.array_equal(lats[:-1], 9.957 + np.arange(97) * 0.1)
+
     def test_shipped_and_benchmark_node_counts(self):
         shipped = load_config(Path(__file__).resolve().parent.parent / "configs" / "korea_mf.yaml")
         assert (shipped.grid.n_lat, shipped.grid.n_lon) == (121, 121)
@@ -101,8 +109,8 @@ class TestGridSpec:
         hi = (lo_units + k * step_units) / 1e4
         spec = GridSpec(lo, hi, lo, hi, step)
         assert spec.n_lat == spec.n_lon == k + 1
-        assert abs(spec.lat_values()[-1] - hi) <= 1e-9 * step
-        assert abs(spec.lon_values()[-1] - hi) <= 1e-9 * step
+        assert hi - 1e-9 * step <= spec.lat_values()[-1] <= hi
+        assert hi - 1e-9 * step <= spec.lon_values()[-1] <= hi
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -59,7 +59,7 @@ def test_readme_config_table_matches_the_loader(tmp_path):
     # the shipped config, and the same scenario with every lattice imported, both load
     shipped = yaml.safe_load((ROOT / "configs" / "korea_mf.yaml").read_text(encoding="utf-8"))
     lattices = dict(shipped, propagation={"kind": "grid", "grids": {tx["id"]: "field.csv" for tx in shipped["stations"]}})
-    lattices["noise"] = {"season": "Averaged", "percentile": 0.95, "grid": "field.csv"}
+    lattices["noise"] = {"grid": "field.csv"}
     rmodesim.write_field_grid(rmodesim.FieldGrid([30.0, 40.0], [120.0, 130.0], np.full((2, 2), 60.0)), tmp_path / "field.csv")
     for name, raw in (("shipped.yaml", shipped), ("lattices.yaml", lattices)):
         (tmp_path / name).write_text(yaml.safe_dump(raw), encoding="utf-8")

@@ -163,7 +163,7 @@ def _coverage_lattice_case(run_dir: Path) -> dict[str, bytes]:
 
     def mutate(c):
         c["propagation"] = {"kind": "grid", "grids": grids}
-        c["noise"] = {"season": "Averaged", "percentile": 0.95, "grid": "noise.csv"}
+        c["noise"] = {"grid": "noise.csv"}
         c["grid"] = {"lat_min": 34.5, "lat_max": 38.5, "lon_min": 124.5, "lon_max": 128.5, "step_deg": 0.05}
 
     out = {f"lattices/{p.name}": p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}
@@ -192,7 +192,7 @@ def _point_lattice_case(run_dir: Path) -> dict[str, bytes]:
     def mutate(c):
         c["stations"][1]["lon_deg"] = c["stations"][0]["lon_deg"]
         c["propagation"] = {"kind": "grid", "grids": grids}
-        c["noise"] = {"season": "Averaged", "percentile": 0.95, "grid": "noise.csv"}
+        c["noise"] = {"grid": "noise.csv"}
         del c["grid"]
 
     out = {f"lattices/{p.name}": p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}

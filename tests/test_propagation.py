@@ -109,8 +109,6 @@ class TestSnr:
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
-            NoiseSpec(percentile=1.0, level_dbuv_m=40.0)
-        with pytest.raises(ValueError):
             NoiseSpec(level_dbuv_m=None, grid=None)
         with pytest.raises(ValueError):
             NoiseSpec(level_dbuv_m=40.0, grid=FieldGrid([0, 1], [0, 1], np.zeros((2, 2))))

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -198,7 +197,7 @@ class TestFit:
         samples[20] = ("s", samples[20][1], 0.0)
         raw, _ = fit_params(samples)
         trimmed, report = fit_params(samples, trim_fraction=0.05)
-        assert report.n_trimmed == 4
+        assert len(samples) - sum(report.n_samples.values()) == 4
         assert abs(trimmed.c_m - 10.0) < 0.05
         assert abs(raw.c_m - 10.0) > abs(trimmed.c_m - 10.0)
 
@@ -219,7 +218,7 @@ class TestFit:
         # and (50, 500) and keeps the other two
         kept = [s for s in samples if s[1:] not in {(3.5, 0.5), (50.0, 500.0)}]
         params, report = fit_params(kept)
-        assert fits == {repr((params, dataclasses.replace(report, n_trimmed=2)))}
+        assert fits == {repr((params, report))}
 
 
 def test_window_values_checked_by_fit():
