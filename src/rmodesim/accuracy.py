@@ -15,16 +15,21 @@ rotation invariant); the formulas hold verbatim for any N >= 3 stations.
 ``accuracy_arrays`` holds the rules once, batched over points; the point
 query ``accuracy_at`` and the coverage sweep both call it.
 
+The kernel eliminates the clock before it sums: with W = sum w_i, u_i the
+unit vector (cos, sin) of theta_i and u_bar = sum w_i u_i / W, the
+horizontal block of K is H^-1 for H = sum w_i (u_i - u_bar)(u_i - u_bar)',
+a two-pass weighted variance (Chan, Golub & LeVeque, Am. Stat. 37(3),
+1983), and the accuracy is 2*sqrt((h00 + h11) / det H).
+
 A geometry is singular when its normal matrix's 2-norm condition number,
 |lambda_max / lambda_min| as ``np.linalg.eigvalsh`` gives it, exceeds
-``CONDITION_LIMIT`` or is undefined. With det = lambda_max lambda_mid
-lambda_min and both lambda_max and lambda_mid at most the trace tr, the
-condition number is at most tr^3 / det. A cell whose bound is below half
-the limit is not singular; every other cell goes to ``eigvalsh``, so the
+``CONDITION_LIMIT`` or is undefined. Its trace tr = 2W bounds lambda_max
+and lambda_mid and its determinant is W det H, so the condition number is
+at most tr^3 / det = 8 W^2 / det H: a cell with 16 W^2 < CONDITION_LIMIT
+det H is not singular, and every other cell goes to ``eigvalsh``, so the
 flags equal the ``eigvalsh`` test's on every cell (see ``_singular`` for
 the margin). Each cell's weights are first scaled by a power of two so
-that the largest is in [0.5, 1), which keeps tr in [1, 2S) for S stations
-and the cofactors in range; the scale is exact and undone on the inverse.
+that the largest is in [0.5, 1); the scale is exact and undone on the result.
 """
 
 from __future__ import annotations
@@ -51,59 +56,51 @@ MASK_SINGULAR_GEOMETRY = "SingularGeometry"
 MASK_REASONS = ("", MASK_TOO_FEW_STATIONS, MASK_SINGULAR_GEOMETRY)  # indexed by mask code
 
 
-def _singular(a, b, c, d, e, f, det, skip):
-    """Where the symmetric 3x3 [[a, b, c], [b, d, e], [c, e, f]] is singular (see the module docstring).
+def _singular(det, total, cos, sin, weights, skip):
+    """Where the normal matrix is singular (see the module docstring); ``skip`` cells never reach ``eigvalsh``.
 
-    Cells where ``skip`` holds never reach ``eigvalsh``. Runs under the
-    caller's ``np.errstate``, which must ignore division by zero and invalid values.
+    Runs under the caller's ``np.errstate``, which must ignore division by zero and invalid values.
     """
-    # Margin: a cell is cleared when tr^3 < CONDITION_LIMIT det / 2. The computed det
-    # is off by at most 64 eps tr^3, 0.7% of such a det, so the cell's condition number
-    # is below 0.51 CONDITION_LIMIT. eigvalsh moves lambda_min by at most p eps lambda_max
-    # for a modest p, about p 1e-4 of lambda_min here, so its ratio stays below the limit.
-    tr = a + d + f
-    cleared = tr * tr * tr < 0.5 * CONDITION_LIMIT * det  # False where det is NaN, zero or negative
+    # Margin: the centered sums are off by about (S + 3) eps relative, so det H is off by at most
+    # about (2S + 8) eps W^2 / 4, under (S + 4) 1e-5 of a det this screen clears; with tr = 2W to
+    # within S eps, a cleared cell's condition number is below 0.51 CONDITION_LIMIT. eigvalsh
+    # moves lambda_min by at most p eps lambda_max (modest p), about p 1e-4 of lambda_min here.
+    cleared = 16.0 * total * total < CONDITION_LIMIT * det  # False where det is NaN, zero or negative
     check = ~cleared & ~skip
     singular = np.array(~cleared)  # 0-d stays assignable
     if check.any():
-        m = np.array([a[check], b[check], c[check], b[check], d[check], e[check], c[check], e[check], f[check]])
-        lam = np.abs(np.linalg.eigvalsh(m.T.reshape(-1, 3, 3)))
+        w, cos, sin = weights[:, check], cos[:, check], sin[:, check]
+        wc, ws = w * cos, w * sin
+        a, b, c = (wc * cos).sum(axis=0), (wc * sin).sum(axis=0), wc.sum(axis=0)
+        d, e, f = (ws * sin).sum(axis=0), ws.sum(axis=0), w.sum(axis=0)
+        lam = np.abs(np.linalg.eigvalsh(np.array([a, b, c, b, d, e, c, e, f]).T.reshape(-1, 3, 3)))
         singular[check] = ~(lam[:, -1] / lam[:, 0] <= CONDITION_LIMIT)
     return singular
 
 
 def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray, skip=np.False_):
-    """(G' R^-1 G)^-1 summed over the leading station axis, and where it is singular.
+    """The pieces of (G' R^-1 G)^-1 summed over the leading station axis, and where it is singular.
 
     ``az_rad`` and ``weights`` share shape (S, ...); a zero weight drops a
-    station. A cell is singular when the normal matrix's 2-norm condition
-    number is above ``CONDITION_LIMIT`` or undefined (see ``_singular``, which
-    also takes ``skip``). Returns the six distinct cofactors ``(cof00, cof01,
-    cof02, cof11, cof12, cof22)`` and the determinant of the normal matrix
-    with each cell's weights scaled by a power of two, the flags and the
-    exponent ``shift`` that undoes the scale, each of shape (...); the
-    inverse is ``np.ldexp(cofactor / det, shift)`` where not singular.
+    station. ``skip`` goes to ``_singular``. With each cell's weights scaled
+    by a power of two, returns the centered sums ``(h00, h01, h11)``, det H,
+    the mean direction ``u_bar``, the total weight W, the flags and the
+    exponent ``shift`` that undoes the scale, each of shape (...); where not
+    singular, H^-1 is ``np.ldexp([[h11, -h01], [-h01, h00]] / det, shift)``.
     """
     cos, sin = np.cos(az_rad), np.sin(az_rad)
-    # each cell's largest weight to [0.5, 1): exact, and keeps the cofactors and det in range
+    # each cell's largest weight to [0.5, 1): exact, and keeps W and det H in range
     _, exponent = np.frexp(weights.max(axis=0))
     weights = np.ldexp(weights, -exponent)
-    wc, ws = weights * cos, weights * sin
-    # the normal matrix [[a, b, c], [b, d, e], [c, e, f]]
-    a, b, c = (wc * cos).sum(axis=0), (wc * sin).sum(axis=0), wc.sum(axis=0)
-    d, e, f = (ws * sin).sum(axis=0), ws.sum(axis=0), weights.sum(axis=0)
-
-    # adjugate of a symmetric 3x3
-    cof00 = d * f - e * e
-    cof01 = c * e - b * f
-    cof02 = b * e - c * d
-    cof11 = a * f - c * c
-    cof12 = b * c - a * e
-    cof22 = a * d - b * b
-    det = a * cof00 + b * cof01 + c * cof02
+    total = weights.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular = _singular(a, b, c, d, e, f, det, skip)
-    return (cof00, cof01, cof02, cof11, cof12, cof22), det, singular, -exponent
+        u_bar = np.array([(weights * cos).sum(axis=0), (weights * sin).sum(axis=0)]) / total
+        dc, ds = cos - u_bar[0], sin - u_bar[1]
+        wdc = weights * dc
+        h00, h01, h11 = (wdc * dc).sum(axis=0), (wdc * ds).sum(axis=0), (weights * ds * ds).sum(axis=0)
+        det = h00 * h11 - h01 * h01
+        singular = _singular(det, total, cos, sin, weights, skip)
+    return (h00, h01, h11), det, u_bar, total, singular, -exponent
 
 
 def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
@@ -111,7 +108,8 @@ def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
 
     ``sigma2_m2`` holds each station's TOA variance in m^2 and must be
     positive. Raises SingularGeometryError when the normal matrix is
-    singular (collinear or duplicate azimuths).
+    singular (collinear or duplicate azimuths). With the clock eliminated,
+    K = [[H^-1, -H^-1 u_bar], [-u_bar' H^-1, 1/W + u_bar' H^-1 u_bar]].
     """
     az = np.asarray(azimuths_rad, dtype=float)
     s2 = np.asarray(sigma2_m2, dtype=float)
@@ -123,10 +121,12 @@ def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
         weights = 1.0 / s2
     if not (np.all(s2 > 0.0) and np.all(weights < np.inf)):
         raise ValueError("all sigma2 must be > 0 with a finite reciprocal")
-    (c00, c01, c02, c11, c12, c22), det, singular, shift = _inverse_normal(az, weights)
+    (h00, h01, h11), det, u_bar, total, singular, shift = _inverse_normal(az, weights)
     if singular:
         raise SingularGeometryError("normal matrix is singular or too ill-conditioned to invert")
-    return np.ldexp(np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]) / det, shift)
+    h_inv = np.array([[h11, -h01], [-h01, h00]]) / det
+    v = h_inv @ u_bar
+    return np.ldexp(np.block([[h_inv, -v[:, None]], [-v, 1.0 / total + u_bar @ v]]), shift)
 
 
 def accuracy95(k: np.ndarray) -> float:
@@ -196,11 +196,10 @@ def accuracy_arrays(
         )
     count = usable.sum(axis=0)
     too_few = count < 3
-    (cof00, _, _, cof11, _, _), det, singular, shift = _inverse_normal(az, weights, skip=too_few)
+    (h00, _, h11), det, _, _, singular, shift = _inverse_normal(az, weights, skip=too_few)
     ok = ~too_few & ~singular
     with np.errstate(divide="ignore", invalid="ignore"):
-        horiz = np.maximum(np.where(ok, np.ldexp(cof00 / det + cof11 / det, shift), 0.0), 0.0)
-    accuracy = np.where(ok, 2.0 * np.sqrt(horiz), np.nan)
+        accuracy = np.where(ok, 2.0 * np.sqrt(np.ldexp((h00 + h11) / det, shift)), np.nan)
     mask = np.where(too_few, 1, np.where(singular, 2, 0)).astype(np.int8)
     return snr_db, az, sigma2, usable, accuracy, count, mask
 

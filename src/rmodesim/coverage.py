@@ -1,13 +1,14 @@
 """Grid sweeps producing 95% accuracy coverage maps, plus CSV/PGM output.
 
-Cells are independent, so the sweep runs on a thread pool in blocks of
-whole latitude rows, a latitude column against the longitude row; every
-kernel step is per cell, per coordinate or sums over stations only, so the
-output is bitwise identical for any block size and worker count.
+Cells are independent, so the sweep runs on a thread pool in blocks, a
+column of latitudes against a row of at most ``_BLOCK_CELLS`` longitudes;
+every kernel step is per cell, per coordinate or sums over stations only,
+so the output is bitwise identical for any block size and worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,11 +24,11 @@ from .variance_model import ModelParams
 # A grid holds about 10 B/cell (8 accuracy, 1 mask code, 1-2 count), so
 # the limit keeps a map's arrays near 100 MB.
 CELL_LIMIT = 10_000_000
-# Cells per kernel call, in whole rows: big enough to amortise the call and
-# to let two workers overlap, small enough that the kernel's temporaries
-# (a tracemalloc peak of about 420 B/cell with three stations, the
-# per-station arrays among them) stay near 2 MiB per worker and are never
-# held grid-wide.
+# Cells per kernel call, in whole rows or a slice of one row: big enough to
+# amortise the call and to let two workers overlap, small enough that the
+# kernel's temporaries (a tracemalloc peak of about 420 B/cell with three
+# stations, the per-station arrays among them) stay near 2 MiB per worker
+# and are never held grid-wide, however wide a row is.
 _BLOCK_CELLS = 5000
 _PIXEL_STRINGS = np.array([str(v) for v in range(256)], dtype=object)
 
@@ -134,13 +135,14 @@ def compute_coverage(
     count = np.empty(accuracy.shape, dtype=np.min_scalar_type(len(stations)))
     mask_code = np.empty(accuracy.shape, dtype=np.int8)
 
-    def run_block(rows: slice) -> None:
-        _, _, _, _, accuracy[rows], count[rows], mask_code[rows] = accuracy_arrays(
-            lats[rows, None], lons[None, :], stations, params, prop, noise, snr_threshold_db
+    def run_block(block: tuple[slice, slice]) -> None:
+        _, _, _, _, accuracy[block], count[block], mask_code[block] = accuracy_arrays(
+            lats[block[0], None], lons[None, block[1]], stations, params, prop, noise, snr_threshold_db
         )
 
-    block_rows = max(1, _BLOCK_CELLS // lons.size)
-    blocks = [slice(i, i + block_rows) for i in range(0, lats.size, block_rows)]
+    rows, cols = max(1, _BLOCK_CELLS // lons.size), min(lons.size, _BLOCK_CELLS)
+    starts = itertools.product(range(0, lats.size, rows), range(0, lons.size, cols))
+    blocks = [(slice(i, i + rows), slice(j, j + cols)) for i, j in starts]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads or cpus, cpus, len(blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:

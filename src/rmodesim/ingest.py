@@ -140,13 +140,11 @@ def window_variance(log: StationLog, window_len: int, wavelength_m: float, detre
     # conditioned when the mean phase dwarfs its scatter
     p = phase - phase[:, :1]
     if detrend == "linear":
-        # one fit per window: a batched fit and dot would sum in another order
-        t = np.arange(window_len, dtype=float)
-        var = []
-        for row in p:
-            coef = np.polynomial.polynomial.polyfit(t, row, 1)
-            resid = row - np.polynomial.polynomial.polyval(t, coef)
-            var.append(float(resid @ resid) / (window_len - 2))
+        # least-squares line on centered time: the intercept is the window mean, the slope p.t / t.t
+        t = np.arange(window_len) - (window_len - 1) / 2.0
+        p = p - p.mean(axis=1, keepdims=True)
+        p -= (p @ t / (t @ t))[:, None] * t
+        var = (p * p).sum(axis=1) / (window_len - 2)
     else:
         var = np.var(p, axis=1, ddof=1)
     mean_db = np.mean(log.snr_db[: n_windows * window_len].reshape(shape), axis=1).tolist()

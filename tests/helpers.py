@@ -211,6 +211,21 @@ def subprocess_env():
     return env
 
 
+def polyfit_detrended_variance(log, window_len, wavelength_m):
+    """``window_variance(..., detrend="linear")``'s TOA variances as one ``polyfit`` per window, kept as a reference."""
+    from rmodesim.ingest import unwrap_phase
+
+    n_windows = log.phase_rad.size // window_len
+    phase = unwrap_phase(log.phase_rad)[: n_windows * window_len].reshape(n_windows, window_len)
+    t = np.arange(window_len, dtype=float)
+    var = []
+    for row in phase - phase[:, :1]:
+        coef = np.polynomial.polynomial.polyfit(t, row, 1)
+        resid = row - np.polynomial.polynomial.polyval(t, coef)
+        var.append(float(resid @ resid) / (window_len - 2))
+    return (wavelength_m / (2.0 * math.pi)) ** 2 * np.array(var)
+
+
 # one variance window as the reference loops read it
 _Window = namedtuple("_Window", "station_id snr_linear toa_var_m2")
 
@@ -465,14 +480,15 @@ def loop_load_field_grid(path):
 
 
 def eigvalsh_inverse_normal(az_rad, weights):
-    """``accuracy._inverse_normal`` as it was with the ``eigvalsh`` condition test, kept as a reference.
+    """The singular flags of ``accuracy._inverse_normal`` as an all-``eigvalsh`` test gives them.
 
-    The closed-form condition check must give the same singular flags and,
-    on every cell that is not singular, the same inverse bit for bit.
+    The reference for the kernel's flags: the raw-sum normal matrix of the
+    unscaled weights, singular where ``eigvalsh``'s condition number is above
+    ``CONDITION_LIMIT`` or undefined. The kernel's trace screen and power-of-two
+    scaling must give the same flags on every cell.
     """
     from rmodesim.accuracy import CONDITION_LIMIT
 
-    _EYE = np.eye(3)
     c, s = np.cos(az_rad), np.sin(az_rad)
     wc, ws = weights * c, weights * s
     m = np.empty(az_rad.shape[1:] + (3, 3))
@@ -484,24 +500,4 @@ def eigvalsh_inverse_normal(az_rad, weights):
     m[..., 2, 2] = weights.sum(axis=0)
     lam = np.abs(np.linalg.eigvalsh(m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular = ~(lam[..., -1] / lam[..., 0] <= CONDITION_LIMIT)
-    m[singular] = _EYE
-
-    # adjugate inverse of a symmetric 3x3
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
-    cof00 = d * f - e * e
-    cof01 = c * e - b * f
-    cof02 = b * e - c * d
-    cof11 = a * f - c * c
-    cof12 = b * c - a * e
-    cof22 = a * d - b * b
-    det = a * cof00 + b * cof01 + c * cof02
-    k = np.empty_like(m)
-    k[..., 0, 0] = cof00 / det
-    k[..., 0, 1] = k[..., 1, 0] = cof01 / det
-    k[..., 0, 2] = k[..., 2, 0] = cof02 / det
-    k[..., 1, 1] = cof11 / det
-    k[..., 1, 2] = k[..., 2, 1] = cof12 / det
-    k[..., 2, 2] = cof22 / det
-    return k, singular
+        return ~(lam[..., -1] / lam[..., 0] <= CONDITION_LIMIT)

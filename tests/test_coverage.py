@@ -169,14 +169,15 @@ class TestComputeCoverage:
         spec = GridSpec(35.0, 37.0, 126.0, 128.0, 0.1)
         base = compute_coverage(spec, stations, params, prop, noise, -15.0, threads=1)
         assert (base.mask_code == MASK_REASONS.index(MASK_TOO_FEW_STATIONS)).any() and (base.mask_code == 0).any()
-        for rows in (1, 3, spec.n_lat, spec.n_lat + 5):
-            monkeypatch.setattr(coverage_module, "_BLOCK_CELLS", rows * spec.n_lon)
+        # slices of one row (1 and 7 cells), then whole rows
+        for cells in (1, 7, spec.n_lon, 3 * spec.n_lon, spec.cell_count, (spec.n_lat + 5) * spec.n_lon):
+            monkeypatch.setattr(coverage_module, "_BLOCK_CELLS", cells)
             for t in (1, 2, 0, 8):
                 other = compute_coverage(spec, stations, params, prop, noise, -15.0, threads=t)
                 for name in ("lat_deg", "lon_deg", "accuracy_m", "usable_count", "mask_code"):
                     a, b = getattr(base, name), getattr(other, name)
-                    assert a.dtype == b.dtype and a.shape == b.shape, (name, rows, t)
-                    assert a.tobytes() == b.tobytes(), (name, rows, t)
+                    assert a.dtype == b.dtype and a.shape == b.shape, (name, cells, t)
+                    assert a.tobytes() == b.tobytes(), (name, cells, t)
 
     def test_nan_snr_raises_on_both_paths(self):
         # a NaN noise level once masked every cell silently in the sweep
@@ -611,6 +612,21 @@ class TestMemory:
         cells = grid.accuracy_m.size
         held = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
         assert held <= 12 * cells
+
+    def test_sweep_holds_one_block_of_temporaries_per_worker_on_a_wide_grid(self):
+        # two rows of 200,001 cells: a block of whole rows would give the kernel every cell at once
+        stations, params, prop, _ = scenario()
+        spec = GridSpec(36.0, 36.00001, 126.0, 128.0, 1e-5)
+        assert (spec.n_lat, spec.n_lon) == (2, 200_001)
+        tracemalloc.start()
+        try:
+            grid = compute_coverage(spec, stations, params, prop, NoiseSpec(level_dbuv_m=62.0), -15.0, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the grid and its coordinates, and under 1,000 B per cell of two workers' blocks
+        cells = grid.accuracy_m.size
+        assert peak < 12 * cells + 8 * spec.n_lon + 2 * 1000 * coverage_module._BLOCK_CELLS
 
     def test_pgm_writer_holds_one_row(self, tmp_path):
         grid = self.grid()

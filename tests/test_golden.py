@@ -44,17 +44,17 @@ DIGESTS = {
     "coverage-lattice/coverage-stdout-text": "e5958161e11de1a7ace42ad9d4175e6a72e3a2c37b238faabd2b687959f743f6",
     "coverage-lattice/coverage-stdout-csv": "0a2a4c75a7eb70e9edf4bd4ca56ca67c471912443991d85b25ecea012365879a",
     "coverage-lattice/out/contour_10m.csv": "93f572ca039d2a6fff1395227643f70664d39e020783f008cb25345be13fc22c",
-    "coverage-lattice/out/coverage.csv": "92dd1f17738719bad2b3c7fa07da350e8b64af6e3a20c51a614dabd7980b972f",
+    "coverage-lattice/out/coverage.csv": "a8b6f248d5f6fa238afe14dddea34f02a148b7fe68a99ee967497460b52c5be4",
     "coverage-lattice/out/coverage.pgm": "256f52ab860ff539817156c95045c267300b1e77f96297111a2262c532381288",
     "coverage-masks/coverage-stdout-text": "f43f1e10307dd0d759a39c8d6877d1a68229c54be54a7cba8ade9a8993660fa5",
     "coverage-masks/coverage-stdout-csv": "d635db1513ed773a9192df567d9babe79ea9b8bda2ddb892ab856168e188447d",
     "coverage-masks/out/contour_10m.csv": "6956a7ec8785eec6ca8f4a275141d8a7679671a0d661c9f1dcde96e91039efef",
-    "coverage-masks/out/coverage.csv": "46a60d9144fa229d6a4ae5ee94592717c1e96b21941dcbe5d6d40134828669e9",
+    "coverage-masks/out/coverage.csv": "29c5e8a43f99510a9b24aa6772bdc62f7e7f2a47bdc86c2b173f7e2a882a8690",
     "coverage-masks/out/coverage.pgm": "944b0318aff41bf59e23e3a2dede604c8d121b34f2285fe5186cc0e535c6f9d2",
     "coverage-shipped/coverage-stdout-text": "0cb3251c208a14aba9fd83b4a7ec01b0510aa2f2e9f7233eb712e5a64f8ac2b0",
     "coverage-shipped/coverage-stdout-csv": "bd323b7b6517391b1492899c8eab7e79d756f9645b2d66f151eb31cf3b2b2676",
     "coverage-shipped/out/contour_10m.csv": "30454340437b1cf06fa2dfa7dad6035f9ced55ef00381a785965b57659eceab1",
-    "coverage-shipped/out/coverage.csv": "1cd93ae1fe4d6dce3bd28da92171ffbc16fd911d921533c5bf42ef876f8d662e",
+    "coverage-shipped/out/coverage.csv": "2969b00e829e1cb74dc3f4d9d3ba4bba8ad7e176bb79a001d5abeb3c0144920b",
     "coverage-shipped/out/coverage.pgm": "83bf6d2b6ca6501a58e8cb7dc756ca585ea479398583bb41ff7376ad8880dd15",
     "fit-gauss/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
     "fit-gauss/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
@@ -68,7 +68,7 @@ DIGESTS = {
     "fit-gauss-linear/logs/palmi.csv": "c76a6c09c15839983e66b3ec96280de5b9e1cdd18f1618df763e850e4c39a61b",
     "fit-gauss-linear/fit-stdout-text": "cdf2b23340f3eb5b0c790bed84207cbd7715bc04325c3213338f4fb96feab86f",
     "fit-gauss-linear/fit-stdout-csv": "596ad205c4d8aa75f55c5bf65b718e0bb0e3514f7438748505ea6ed0839f0795",
-    "fit-gauss-linear/out/fit_report.csv": "a89b1bd3c612fe65fdd1e7571d34b48c5af1d6d96fad1cb02ed305664be38208",
+    "fit-gauss-linear/out/fit_report.csv": "71460cc98da7346921f627da472142c8ebfb330cda8264446a21dc9c9f7c8ef6",
     "fit-gauss-linear/out/fitted_params.yaml": "d42d42aa217535f0dd2e3078240124d708976842f11f902ca5121f23330ab1bf",
     "fit-gauss-trim/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
     "fit-gauss-trim/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
@@ -88,7 +88,7 @@ DIGESTS = {
     "point-lattice/lattices/field_eocheong.csv": "551a4f88594da38165ddf2d6b0aef7a5f96f98120e4a2dc838efae852aa77776",
     "point-lattice/lattices/field_palmi.csv": "bc8c2cbfc92d0ace81af8fe81e3384d2e3d880a2427c86a5d55a8d2b17be13e2",
     "point-lattice/lattices/noise.csv": "d54f56de302d0405338ee778865c7103f4f2698c5422792f7ebf1892d0277081",
-    "point-lattice/track-points": "1d7a557babbaa26b8fa0c09987f7f6131a95ec446f4eb6bbfaea3ac049d2e3d6",
+    "point-lattice/track-points": "ad3547750b4952aaf3856fc2541217d8c85e37be683381ac63044363e58e5e16",
     "point-lattice/track-stations": "e93d3ca1877ffb04025d9726d195c50d9f8b9f609cfae3fd9e6d1bad95fbdec7",
 }
 
