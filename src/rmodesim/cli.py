@@ -3,8 +3,9 @@
 Every subcommand takes ``--config`` pointing at a run configuration
 (see config module); outputs land next to the config file unless the
 configured paths are absolute. Exit codes: 0 success, 1 stdout closed
-early, 2 validation, parse or file failure, 3 fit degeneracy, insufficient data
-or NNLS non-convergence, 4 resource limits.
+early, otherwise the failing error's ``exit_code`` (2 for a toolkit error
+that sets none and for any ``OSError`` or ``ValueError``); the README's
+"Exit codes" lists which error classes exit 3 and 4.
 """
 
 from __future__ import annotations
@@ -27,24 +28,14 @@ from .coverage import (
     write_coverage_csv,
     write_coverage_pgm,
 )
-from .errors import (
-    ConfigError,
-    DegenerateDesignError,
-    GridTooLargeError,
-    InsufficientDataError,
-    InsufficientSamplesError,
-    NnlsConvergenceError,
-    RmodeError,
-)
+from .errors import ConfigError, RmodeError
 from .geodesy import GeoPoint
 from .ingest import group_by_station, parse_measurement_file, window_variance
-from .variance_model import fit_params, write_fit_report_csv
+from .variance_model import C_ROW_ID, fit_params, write_fit_report_csv
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
-EXIT_DEGENERATE = 3
-EXIT_RESOURCE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,6 +74,12 @@ def _prepare(path: Path) -> Path:
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     by_id = {tx.station_id: tx for tx in cfg.stations}
+    written = {os.path.realpath(cfg.resolve(getattr(cfg.outputs, key))): key
+               for key in ("fit_report_csv", "params_yaml")}
+    for path in args.measurements:
+        key = written.get(os.path.realpath(path))
+        if key is not None:
+            raise ConfigError(f"outputs.{key}: {path} is a measurement file; the fit would overwrite it")
 
     logs = []
     for path in args.measurements:
@@ -111,7 +108,7 @@ def cmd_fit(args) -> int:
         for sid in sorted(params.jitter_m):
             w.writerow([sid, f"{params.jitter_m[sid]:.6f}", report.n_samples[sid],
                         f"{report.rss_by_station[sid]:.6g}"])
-        w.writerow(["C", f"{params.c_m:.6f}", sum(report.n_samples.values()),
+        w.writerow([C_ROW_ID, f"{params.c_m:.6f}", sum(report.n_samples.values()),
                     f"{report.rss_m4:.6g}"])
     else:
         for sid in sorted(params.jitter_m):
@@ -207,16 +204,9 @@ def main(argv=None) -> int:
         # the reader left (`| head -1`): devnull takes the rest, so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except GridTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (InsufficientSamplesError, InsufficientDataError, DegenerateDesignError,
-            NnlsConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (RmodeError, OSError, ValueError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code if isinstance(exc, RmodeError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ against the config file's directory.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .propagation import (
     TransmitterStation,
     load_field_grid,
 )
-from .variance_model import ModelParams
+from .variance_model import C_ROW_ID, ModelParams
 
 DEFAULT_SNR_THRESHOLD_DB = -15.0
 
@@ -134,10 +135,12 @@ class _Section:
         return v
 
 
-def _load_grid_file(sec: _Section, key: str, base_dir: Path) -> FieldGrid:
+def _load_grid_file(sec: _Section, key: str, base_dir: Path, files: dict) -> FieldGrid:
+    """Load the lattice named at ``key``; ``files`` maps each file read, by real path, to its first key."""
     path = base_dir / sec.string(key, required=True)
     if not path.is_file():
         raise ConfigError(f"{sec.prefix}{key}: file not found: {path}")
+    files.setdefault(os.path.realpath(path), f"{sec.prefix}{key}")
     with _Section({}, f"{sec.prefix}{key}: {path}"):  # reads no keys; names the lattice's errors
         return load_field_grid(path)
 
@@ -153,6 +156,7 @@ def load_config(path) -> RunConfig:
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     base_dir = path.parent
+    files = {os.path.realpath(path): "the config file"}  # real path -> first key to name it; no output may repeat one
 
     with _Section(raw, str(path), top=True) as top:
         stations_raw = top.get("stations", required=True)
@@ -163,8 +167,8 @@ def load_config(path) -> RunConfig:
         for n, entry in enumerate(stations_raw):
             with _Section(entry, f"stations[{n}]") as sec:
                 sid = sec.string("id", required=True)
-                if sid == "C":
-                    raise ConfigError(f"stations[{n}].id: 'C' is reserved for the shared constant's row in the fit report")
+                if sid == C_ROW_ID:
+                    raise ConfigError(f"stations[{n}].id: {C_ROW_ID!r} is reserved for the shared constant's row in the fit report")
                 position = GeoPoint(sec.number("lat_deg", required=True), sec.number("lon_deg", required=True))
                 power_w = sec.number("power_w", required=True)
                 carrier_hz = sec.number("carrier_hz", required=True)
@@ -192,7 +196,7 @@ def load_config(path) -> RunConfig:
                     missing = [i for i in ids if i not in grids.data]
                     if missing:
                         raise ConfigError(f"propagation.grids: no grid for stations {missing}")
-                    propagation = GridPropagation(grids={sid: _load_grid_file(grids, sid, base_dir) for sid in ids})
+                    propagation = GridPropagation(grids={sid: _load_grid_file(grids, sid, base_dir, files) for sid in ids})
             else:
                 raise ConfigError(f"propagation.kind: expected 'parametric' or 'grid', got {kind!r}")
 
@@ -203,7 +207,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError("noise: set exactly one of level_dbuv_m or grid")
             noise = NoiseSpec(
                 level_dbuv_m=level,
-                grid=None if level is not None else _load_grid_file(noise_sec, "grid", base_dir),
+                grid=None if level is not None else _load_grid_file(noise_sec, "grid", base_dir, files),
             )
 
         snr_threshold_db = top.number("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
@@ -243,6 +247,12 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"outputs.pgm_clip_m: must be > 0, got {outputs.pgm_clip_m}")
             if outputs.contour_limit_m <= 0.0:
                 raise ConfigError(f"outputs.contour_limit_m: must be > 0, got {outputs.contour_limit_m}")
+            for key in ("coverage_csv", "coverage_pgm", "contour_csv", "fit_report_csv", "params_yaml"):
+                name = getattr(outputs, key)
+                if name is not None:
+                    other = files.setdefault(os.path.realpath(base_dir / name), f"outputs.{key}")
+                    if other != f"outputs.{key}":
+                        raise ConfigError(f"outputs.{key}: {base_dir / name} is the same file as {other}")
 
     if grid is not None:
         lattices = dict(propagation.grids) if isinstance(propagation, GridPropagation) else {}

@@ -18,6 +18,7 @@ import numpy as np
 
 from .accuracy import MASK_REASONS, accuracy_arrays
 from .errors import GridTooLargeError
+from .geodesy import GeoPoint
 from .propagation import NoiseSpec, PropagationSpec, TransmitterStation
 from .variance_model import ModelParams
 
@@ -37,7 +38,7 @@ _PIXEL_STRINGS = np.array([str(v) for v in range(256)], dtype=object)
 class GridSpec:
     """A lat/lon lattice: inclusive bounds and a positive step in degrees.
 
-    Latitudes lie in [-90, 90] and longitudes in [-180, 180], as for GeoPoint.
+    Both corners must be valid GeoPoints.
     Node coordinates are ``min + i * step`` (never accumulated), with
     ``floor((max - min) / step + 1e-9) + 1`` nodes per axis: the 1e-9 keeps
     the ``max`` node of a whole number of steps that divides to just under.
@@ -57,10 +58,8 @@ class GridSpec:
             raise ValueError(f"lat_min {self.lat_min} must be < lat_max {self.lat_max}")
         if not self.lon_min < self.lon_max:
             raise ValueError(f"lon_min {self.lon_min} must be < lon_max {self.lon_max}")
-        if not (-90.0 <= self.lat_min and self.lat_max <= 90.0):
-            raise ValueError(f"latitudes {self.lat_min}..{self.lat_max} outside [-90, 90]")
-        if not (-180.0 <= self.lon_min and self.lon_max <= 180.0):
-            raise ValueError(f"longitudes {self.lon_min}..{self.lon_max} outside [-180, 180]")
+        GeoPoint(self.lat_min, self.lon_min)  # the corners take GeoPoint's coordinate ranges
+        GeoPoint(self.lat_max, self.lon_max)
         if not self.step_deg > 0.0:
             raise ValueError(f"step_deg must be > 0, got {self.step_deg}")
 

@@ -4,6 +4,8 @@
 class RmodeError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 2  # the CLI's exit status; a subclass sets 3 where the fit cannot go on, 4 for a resource limit
+
 
 class ConfigError(RmodeError):
     """Run configuration is invalid or references missing files."""
@@ -32,6 +34,8 @@ class EmptyInputError(RmodeError):
 class InsufficientDataError(RmodeError):
     """Fewer records than one analysis window."""
 
+    exit_code = 3
+
 
 class UnknownStationError(RmodeError):
     """Station id not present in the model parameters."""
@@ -44,13 +48,19 @@ class NonpositiveSnrError(RmodeError):
 class NnlsConvergenceError(RmodeError):
     """The NNLS active-set iteration hit its iteration cap without converging."""
 
+    exit_code = 3
+
 
 class InsufficientSamplesError(RmodeError):
     """Too few variance samples to estimate the model."""
 
+    exit_code = 3
+
 
 class DegenerateDesignError(RmodeError):
     """Fit design is rank deficient (a station has no SNR spread)."""
+
+    exit_code = 3
 
 
 class ZeroDistanceError(RmodeError):
@@ -75,3 +85,5 @@ class SingularGeometryError(RmodeError):
 
 class GridTooLargeError(RmodeError):
     """Sweep grid exceeds the configured cell limit."""
+
+    exit_code = 4

@@ -23,6 +23,8 @@ from .errors import DegenerateDesignError, InsufficientSamplesError
 from .ingest import WINDOW_DTYPE
 from .nnls import nnls
 
+C_ROW_ID = "C"  # the fit report's row for the shared constant; no station may take this id
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -153,7 +155,7 @@ def write_fit_report_csv(params: ModelParams, report: FitReport, path) -> None:
     """Write the fit report: one row per station, then a footer row for C.
 
     Schema ``station_id,jitter_m,n_samples,rss_contribution``; the footer
-    row uses the reserved id ``C`` with the constant in the jitter_m
+    row uses the reserved id ``C`` (``C_ROW_ID``) with the constant in the jitter_m
     column, total sample count, and total RSS.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -168,4 +170,4 @@ def write_fit_report_csv(params: ModelParams, report: FitReport, path) -> None:
                     repr(report.rss_by_station.get(sid, 0.0)),
                 ]
             )
-        w.writerow(["C", repr(params.c_m), sum(report.n_samples.values()), repr(report.rss_m4)])
+        w.writerow([C_ROW_ID, repr(params.c_m), sum(report.n_samples.values()), repr(report.rss_m4)])

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
+import rmodesim.cli
+import rmodesim.errors
 import rmodesim.variance_model
 from rmodesim.cli import main
-from rmodesim.errors import NnlsConvergenceError
+from rmodesim.errors import NnlsConvergenceError, ParseError, RmodeError
 from rmodesim.ingest import MEASUREMENT_COLUMNS, parse_measurement_file
 from rmodesim.propagation import FieldGrid, write_field_grid
 from rmodesim.synth import synth_station_log, write_measurement_csv
@@ -118,6 +120,17 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--config", str(config_factory()), str(log))
         assert code == 2
         assert "mystery" in err
+
+    def test_output_naming_a_measurement_file_exit_2(self, config_factory, tmp_path, capsys):
+        config = config_factory(mutate=lambda cfg: cfg["outputs"].update(fit_report_csv="logs/../logs/s1.csv"))
+        logs = synth_logs(config, tmp_path / "logs", windows=5)
+        before = [log.read_bytes() for log in logs]
+        given = [f"{log.parent}/./{log.name}" for log in logs]  # each side spells the path its own way
+        code, out, err = run(capsys, "fit", "--config", str(config), *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: outputs.fit_report_csv: {given[1]} is a measurement file; the fit would overwrite it\n"
+        assert [log.read_bytes() for log in logs] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["logs", "run.yaml"]
 
     def test_malformed_row_exit_2_with_row_number(self, config_factory, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -390,6 +403,15 @@ class TestCoverage:
         assert (code, out, err) == (2, "", f"error: {named}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
+    def test_two_outputs_naming_one_file_exit_2(self, config_factory, tmp_path, capsys):
+        config = config_factory(mutate=lambda cfg: cfg["outputs"].update(coverage_pgm="coverage.csv"))
+        (tmp_path / "coverage.csv").write_bytes(b"an earlier map\n")
+        code, out, err = run(capsys, "coverage", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: outputs.coverage_pgm: {tmp_path}/coverage.csv is the same file as outputs.coverage_csv\n"
+        assert (tmp_path / "coverage.csv").read_bytes() == b"an earlier map\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coverage.csv", "run.yaml"]
+
     def test_grid_beyond_pole_exit_2(self, config_factory, tmp_path, capsys):
         def mutate(cfg):
             cfg["grid"] = {"lat_min": 85.0, "lat_max": 95.0, "lon_min": 120.0, "lon_max": 121.0,
@@ -538,6 +560,28 @@ def test_reserved_station_id_exit_2(config_factory, tmp_path, capsys):
     assert code == 2
     assert "stations[0].id" in err and out == ""
     assert not (tmp_path / "coverage.csv").exists()
+
+
+ERROR_CLASSES = [c for c in vars(rmodesim.errors).values() if isinstance(c, type) and issubclass(c, RmodeError)]
+# the errors that do not exit 2; every other toolkit error inherits RmodeError's 2
+EXIT_CODES = {"InsufficientDataError": 3, "InsufficientSamplesError": 3, "DegenerateDesignError": 3,
+              "NnlsConvergenceError": 3, "GridTooLargeError": 4}
+
+
+@pytest.mark.parametrize("cls", [*ERROR_CLASSES, OSError, ValueError], ids=lambda cls: cls.__name__)
+def test_error_class_sets_the_exit_status(config_factory, capsys, monkeypatch, cls):
+    code = EXIT_CODES.get(cls.__name__, 2)
+    if issubclass(cls, RmodeError):
+        assert cls.exit_code == code
+        assert ("exit_code" in vars(cls)) == (cls.__name__ in EXIT_CODES or cls is RmodeError)
+    exc = cls(7, "bad field") if cls is ParseError else cls(f"a {cls.__name__} from the subcommand")
+
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(rmodesim.cli, "load_config", fail)
+    got = run(capsys, "accuracy", "--config", str(config_factory()), "--lat", "36.0", "--lon", "127.0")
+    assert got == (code, "", f"error: {exc}\n")
 
 
 @pytest.mark.parametrize("case", ["coverage_csv", "fit_report_csv", "log"])

@@ -268,6 +268,11 @@ KEY_ERRORS = [
     ("outputs.contour_csv", 5, r"^outputs\.contour_csv: expected a .*string, got 5$"),
     ("outputs.pgm_clip_m", 0.0, r"^outputs\.pgm_clip_m: must be > 0, got 0\.0$"),
     ("outputs.contour_limit_m", -1.0, r"^outputs\.contour_limit_m: must be > 0, got -1\.0$"),
+    ("outputs.coverage_pgm", "coverage.csv",
+     r"^outputs\.coverage_pgm: .*/coverage\.csv is the same file as outputs\.coverage_csv$"),
+    ("outputs.contour_csv", "out/../fit_report.csv",
+     r"^outputs\.fit_report_csv: .*/fit_report\.csv is the same file as outputs\.contour_csv$"),
+    ("outputs.params_yaml", "run.yaml", r"^outputs\.params_yaml: .*/run\.yaml is the same file as the config file$"),
 ]
 
 
@@ -275,6 +280,33 @@ KEY_ERRORS = [
 def test_config_error_names_the_key(config_factory, path, value, message):
     with pytest.raises(ConfigError, match=message):
         load_config(config_factory(mutate=_setter(path, value)))
+
+
+@pytest.mark.parametrize("key, lattice", [("fit_report_csv", "propagation.grids.s1"), ("coverage_pgm", "noise.grid")])
+def test_output_may_not_replace_a_lattice(config_factory, tmp_path, key, lattice):
+    _lattice(tmp_path, "s0.csv", "s1.csv", "s2.csv", "noise.csv")
+
+    def mutate(cfg):
+        if lattice == "noise.grid":
+            cfg["noise"] = {"grid": "noise.csv"}
+            cfg["outputs"][key] = "noise.csv"
+        else:
+            _grid_propagation(cfg)
+            cfg["outputs"][key] = "./s1.csv"
+
+    with pytest.raises(ConfigError, match=rf"^outputs\.{key}: .*\.csv is the same file as {re.escape(lattice)}$"):
+        load_config(config_factory(mutate=mutate))
+
+
+def test_one_lattice_may_serve_several_keys(config_factory, tmp_path):
+    _lattice(tmp_path, "shared.csv")
+
+    def mutate(cfg):
+        cfg["propagation"] = {"kind": "grid", "grids": {sid: "shared.csv" for sid in ("s0", "s1", "s2")}}
+        cfg["noise"] = {"grid": "shared.csv"}
+
+    cfg = load_config(config_factory(mutate=mutate))
+    assert cfg.noise.grid.value_at(36.0, 127.0) == cfg.propagation.grids["s2"].value_at(36.0, 127.0) == 60.0
 
 
 def test_invalid_yaml_rejected(tmp_path):
