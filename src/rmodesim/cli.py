@@ -2,16 +2,19 @@
 
 Every subcommand takes ``--config`` pointing at a run configuration
 (see config module); outputs land next to the config file unless the
-configured paths are absolute. Exit codes: 0 success, 1 stdout closed
-early, otherwise the failing error's ``exit_code`` (2 for a toolkit error
-that sets none and for any ``OSError`` or ``ValueError``); the README's
-"Exit codes" lists which error classes exit 3 and 4.
+configured paths are absolute, and a command that fails leaves every
+output as it was. Exit codes: 0 success, 1 stdout closed early,
+otherwise the failing error's ``exit_code`` (2 for a toolkit error that
+sets none and for any ``OSError`` or ``ValueError``); the README's "Exit
+codes" lists which error classes exit 3 and 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import os
 import sys
 from pathlib import Path
@@ -66,9 +69,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+@contextlib.contextmanager
+def _outputs(*paths: Path):
+    """Yield a temporary beside each output; move them all into place when the block succeeds.
+
+    An output that is a directory fails before anything is written, and on
+    any failure every temporary is removed, so a failed write leaves no new
+    file. A symlinked output is written through to its target.
+    """
+    targets = [Path(os.path.realpath(path)) for path in paths]
+    for path, target in zip(paths, targets):
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for target in targets:
+        target.parent.mkdir(parents=True, exist_ok=True)
+    temps = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in targets]
+    try:
+        yield temps
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def cmd_fit(args) -> int:
@@ -95,12 +117,13 @@ def cmd_fit(args) -> int:
     ]
     params, report = fit_params(np.concatenate(windows) if windows else [], cfg.fit.trim_fraction)
 
-    report_path = _prepare(cfg.resolve(cfg.outputs.fit_report_csv))
-    write_fit_report_csv(params, report, report_path)
-    params_path = _prepare(cfg.resolve(cfg.outputs.params_yaml))
+    report_path = cfg.resolve(cfg.outputs.fit_report_csv)
+    params_path = cfg.resolve(cfg.outputs.params_yaml)
     fitted = {"jitter_m": {k: float(v) for k, v in sorted(params.jitter_m.items())}, "c_m": float(params.c_m)}
-    with open(params_path, "w", encoding="utf-8") as f:
-        yaml.safe_dump(fitted, f, sort_keys=False)
+    with _outputs(report_path, params_path) as (report_tmp, params_tmp):
+        write_fit_report_csv(params, report, report_tmp)
+        with open(params_tmp, "w", encoding="utf-8") as f:
+            yaml.safe_dump(fitted, f, sort_keys=False)
 
     if args.format == "csv":
         w = csv.writer(sys.stdout)
@@ -165,14 +188,14 @@ def cmd_coverage(args) -> int:
         cfg.snr_threshold_db,
         threads=args.threads,
     )
-    csv_path = _prepare(cfg.resolve(cfg.outputs.coverage_csv))
-    pgm_path = _prepare(cfg.resolve(cfg.outputs.coverage_pgm))
-    write_coverage_csv(grid, csv_path)
-    write_coverage_pgm(grid, pgm_path, cfg.outputs.pgm_clip_m)
-    contour_path = None
+    outputs = [cfg.resolve(cfg.outputs.coverage_csv), cfg.resolve(cfg.outputs.coverage_pgm)]
     if cfg.outputs.contour_csv is not None:
-        contour_path = _prepare(cfg.resolve(cfg.outputs.contour_csv))
-        write_contour_csv(grid, contour_path, cfg.outputs.contour_limit_m)
+        outputs.append(cfg.resolve(cfg.outputs.contour_csv))
+    with _outputs(*outputs) as (csv_tmp, pgm_tmp, *contour_tmp):
+        write_coverage_csv(grid, csv_tmp)
+        write_coverage_pgm(grid, pgm_tmp, cfg.outputs.pgm_clip_m)
+        for path in contour_tmp:  # none when no contour is configured
+            write_contour_csv(grid, path, cfg.outputs.contour_limit_m)
 
     s = coverage_summary(grid)
     fmt = lambda v: "" if v is None else f"{v:.6f}"
@@ -184,10 +207,8 @@ def cmd_coverage(args) -> int:
         print(f"unmasked: {s['unmasked']}")
         print(f"min accuracy: {fmt(s['min_accuracy_m'])} m")
         print(f"median accuracy: {fmt(s['median_accuracy_m'])} m")
-        print(f"coverage csv: {csv_path}")
-        print(f"coverage pgm: {pgm_path}")
-        if contour_path is not None:
-            print(f"contour csv: {contour_path}")
+        for label, path in zip(("coverage csv", "coverage pgm", "contour csv"), outputs):
+            print(f"{label}: {path}")
     return EXIT_OK
 
 

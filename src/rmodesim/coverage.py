@@ -29,7 +29,8 @@ CELL_LIMIT = 10_000_000
 # amortise the call and to let two workers overlap, small enough that the
 # kernel's temporaries (a tracemalloc peak of about 420 B/cell with three
 # stations, the per-station arrays among them) stay near 2 MiB per worker
-# and are never held grid-wide, however wide a row is.
+# and are never held grid-wide, however wide a row is. The CSV writer
+# joins its rows' text in slices of the same width, for the same reason.
 _BLOCK_CELLS = 5000
 _PIXEL_STRINGS = np.array([str(v) for v in range(256)], dtype=object)
 
@@ -170,29 +171,25 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
     accuracy field and the mask reason, an unmasked cell an empty mask.
     """
     # csv.writer's QUOTE_MINIMAL framing (no field can hold a comma, quote
-    # or newline), one % template per row: each cell's piece is picked by
-    # its mask code and usable count and spells both out, so only the row's
-    # unmasked accuracies fill it in ("%.6f" rounds as f"{a:.6f}" does).
-    # The table has pieces only for the counts that occur, found row by row
-    # so that no grid-sized index copy is made.
-    present = np.zeros(int(grid.usable_count.max()) + 1, dtype=bool)
-    for cnt in grid.usable_count:
-        present[cnt] = True
-    piece_of_count = np.cumsum(present) - 1
+    # or newline). A cell's suffix, picked by its mask code and usable count,
+    # spells both out with a "%.6f" slot for an unmasked accuracy (it rounds
+    # as f"{a:.6f}" does), so each block of a row is one join of its texts
+    # and one % of its unmasked accuracies.
     lon_strs = [f"{lon:.6f}" for lon in grid.lon_deg.tolist()]
-    pieces = np.array(
-        [[[f"{lon},{acc},{n},{reason}\r\n" for lon in lon_strs] for n in np.flatnonzero(present).tolist()]
+    suffixes = np.array(
+        [[f",{acc},{n},{reason}\r\n" for n in range(int(grid.usable_count.max()) + 1)]
          for acc, reason in zip(("%.6f", "", ""), MASK_REASONS)],  # an accuracy field for code 0 only
         dtype=object,
     )
-    cols = np.arange(len(lon_strs))
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("lat_deg,lon_deg,accuracy_m,usable_count,mask\r\n")
         rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask_code)
         for lat, acc, cnt, code in rows:
-            pre = f"{lat:.6f},"
-            row = pieces[code, piece_of_count[cnt], cols].tolist()
-            f.write((pre + pre.join(row)) % tuple(acc[code == 0].tolist()))
+            for j in range(0, len(lon_strs), _BLOCK_CELLS):
+                block = slice(j, j + _BLOCK_CELLS)
+                cells = [f"{lat:.6f},"] * (3 * len(lon_strs[block]))
+                cells[1::3], cells[2::3] = lon_strs[block], suffixes[code[block], cnt[block]].tolist()
+                f.write("".join(cells) % tuple(acc[block][code[block] == 0].tolist()))
 
 
 def write_coverage_pgm(grid: CoverageGrid, path, accuracy_clip_m: float) -> None:

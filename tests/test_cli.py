@@ -601,6 +601,54 @@ def test_directory_where_a_file_is_expected_exit_2(config_factory, tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
 
 
+@pytest.mark.parametrize(
+    "command, directory, existing",
+    [("fit", "fitted_params.yaml", None), ("fit", "fitted_params.yaml", "fit_report.csv"),
+     ("coverage", "contour.csv", "coverage.pgm")],
+    ids=["fit", "fit-existing-report", "coverage"],
+)
+def test_an_output_that_is_a_directory_leaves_every_file_as_it_was_exit_2(
+    config_factory, tmp_path, capsys, command, directory, existing
+):
+    # the last output each command writes is a directory, so at the parent the
+    # outputs written before it were new or overwritten
+    def mutate(cfg):
+        cfg["outputs"]["contour_csv"] = "contour.csv"
+
+    config = str(config_factory(mutate=mutate))
+    argv = [command, "--config", config]
+    if command == "fit":
+        argv += map(str, synth_logs(config, tmp_path / "logs", windows=5))
+    (tmp_path / directory).mkdir()
+    if existing:
+        (tmp_path / existing).write_bytes(b"an earlier run\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path / directory}'\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_symlinked_output_is_written_through_to_its_target(config_factory, tmp_path, capsys):
+    target = tmp_path / "maps" / "coverage.csv"
+    target.parent.mkdir()
+    (tmp_path / "coverage.csv").symlink_to(target)
+    code, _, err = run(capsys, "coverage", "--config", str(config_factory()))
+    assert code == 0, err
+    assert (tmp_path / "coverage.csv").is_symlink()
+    assert target.read_text().startswith("lat_deg,lon_deg,accuracy_m,usable_count,mask\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["coverage.csv", "coverage.csv", "coverage.pgm", "maps", "run.yaml"]
+
+
+def test_outputs_take_the_mode_a_plain_open_gives(config_factory, tmp_path, capsys):
+    code, _, err = run(capsys, "coverage", "--config", str(config_factory()))
+    assert code == 0, err
+    with open(tmp_path / "plain", "w"):
+        pass
+    mode = (tmp_path / "plain").stat().st_mode
+    assert (tmp_path / "coverage.csv").stat().st_mode == (tmp_path / "coverage.pgm").stat().st_mode == mode
+
+
 # waits for a line on stdin before running the command, so the reader can
 # close stdout first, as `rmodesim accuracy ... | head -1` does
 _AFTER_GO = (

@@ -537,7 +537,33 @@ def strip_grid(n_lat, n_lon):
     return compute_coverage(spec, stations, params, prop, noise, -15.0)
 
 
+def cycled_grid(spec):
+    # mask codes cycle with period 3 and counts (0, 3, 255) with period 9
+    # along each row, from a different start on each row; accuracies span
+    # eleven decades and sit half a unit past the sixth digit
+    j = np.arange(spec.n_lat)[:, None] + np.arange(spec.n_lon)[None, :]
+    mask_code = (j % 3).astype(np.int8)
+    accuracy = np.where(mask_code == 0, 10.0 ** ((j % 11) - 6.0) + 0.5e-6, np.nan)
+    return CoverageGrid(
+        lat_deg=spec.lat_values(),
+        lon_deg=spec.lon_values(),
+        accuracy_m=accuracy,
+        usable_count=np.array([0, 3, 255], dtype=np.uint8)[j // 3 % 3],
+        mask_code=mask_code,
+    )
+
+
+def block_seam_grid():
+    # two rows seven cells wider than one writer block; neither cycle
+    # divides the block width, so the seam cuts both mid-way
+    n_lon = coverage_module._BLOCK_CELLS + 7
+    spec = GridSpec(-0.5, -0.499, 179.0 - (n_lon - 1) * 0.001, 179.0, 0.001)
+    assert (spec.n_lat, spec.n_lon) == (2, n_lon)
+    return cycled_grid(spec)
+
+
 WRITER_GRIDS = {
+    "block_seam": block_seam_grid,
     "both_masks": shipped_grid_with_both_masks,
     "negative_coordinates": negative_coordinate_grid,
     "interleaved_masks": interleaved_mask_grid,
@@ -640,7 +666,7 @@ class TestMemory:
         cells, one_row = grid.accuracy_m.size, 100 * grid.lon_deg.size
         assert peak < cells + one_row
 
-    def test_csv_writer_holds_its_piece_table_and_one_row(self, tmp_path):
+    def test_csv_writer_holds_one_row(self, tmp_path):
         grid = self.grid()
         tracemalloc.start()
         try:
@@ -648,11 +674,23 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one piece string per mask code, usable count that occurs and
-        # longitude, and a row's strings, at most ~100 B each
+        # the longitude texts and a row's strings, at most ~100 B each
         cells, n_lon = grid.accuracy_m.size, grid.lon_deg.size
-        pieces = len(MASK_REASONS) * np.unique(grid.usable_count).size * n_lon
-        assert peak < cells + 100 * (pieces + 2 * n_lon)
+        assert peak < cells + 100 * 2 * n_lon
+
+    def test_csv_writer_holds_one_block_of_a_wide_row(self, tmp_path):
+        # two rows of 40,001 cells, eight writer blocks each
+        spec = GridSpec(36.0, 36.00001, 126.0, 126.4, 1e-5)
+        assert (spec.n_lat, spec.n_lon) == (2, 40_001)
+        grid = cycled_grid(spec)
+        tracemalloc.start()
+        try:
+            write_coverage_csv(grid, tmp_path / "map.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the longitude texts, and under 1,000 B per cell of one block's strings
+        assert peak < 100 * spec.n_lon + 1000 * coverage_module._BLOCK_CELLS
 
 
 class TestContour:
