@@ -34,7 +34,7 @@ from .coverage import (
 from .errors import ConfigError, RmodeError
 from .geodesy import GeoPoint
 from .ingest import group_by_station, parse_measurement_file, window_variance
-from .variance_model import C_ROW_ID, fit_params, write_fit_report_csv
+from .variance_model import FIT_REPORT_COLUMNS, fit_params, fit_report_rows, write_fit_report_csv
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -42,10 +42,9 @@ EXIT_VALIDATION = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", required=True, help="run configuration YAML")
-    formatted = argparse.ArgumentParser(add_help=False, parents=[config])
-    formatted.add_argument("--format", choices=("text", "csv"), default="text")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="run configuration YAML")
+    common.add_argument("--format", choices=("text", "csv"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="rmodesim",
@@ -53,16 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[formatted], help="fit jitter/constant from measurement logs")
+    p_fit = sub.add_parser("fit", parents=[common], help="fit jitter/constant from measurement logs")
     p_fit.add_argument("measurements", nargs="+", help="measurement CSV files")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_acc = sub.add_parser("accuracy", parents=[formatted], help="accuracy breakdown at one point")
+    p_acc = sub.add_parser("accuracy", parents=[common], help="accuracy breakdown at one point")
     p_acc.add_argument("--lat", type=float, required=True)
     p_acc.add_argument("--lon", type=float, required=True)
     p_acc.set_defaults(func=cmd_accuracy)
 
-    p_cov = sub.add_parser("coverage", parents=[formatted], help="sweep the configured grid")
+    p_cov = sub.add_parser("coverage", parents=[common], help="sweep the configured grid")
     p_cov.add_argument("--threads", type=int, default=0, help="sweep workers, 0 = one per CPU")
     p_cov.set_defaults(func=cmd_coverage)
 
@@ -93,8 +92,7 @@ def _outputs(*paths: Path):
             temp.unlink(missing_ok=True)
 
 
-def cmd_fit(args) -> int:
-    cfg = load_config(args.config)
+def cmd_fit(cfg, args) -> int:
     by_id = {tx.station_id: tx for tx in cfg.stations}
     written = {os.path.realpath(cfg.resolve(getattr(cfg.outputs, key))): key
                for key in ("fit_report_csv", "params_yaml")}
@@ -119,7 +117,9 @@ def cmd_fit(args) -> int:
 
     report_path = cfg.resolve(cfg.outputs.fit_report_csv)
     params_path = cfg.resolve(cfg.outputs.params_yaml)
-    fitted = {"jitter_m": {k: float(v) for k, v in sorted(params.jitter_m.items())}, "c_m": float(params.c_m)}
+    rows = list(fit_report_rows(params, report))
+    *stations, (_, c_m, _, rss_m4) = rows
+    fitted = {"jitter_m": {sid: float(j) for sid, j, _, _ in stations}, "c_m": float(c_m)}
     with _outputs(report_path, params_path) as (report_tmp, params_tmp):
         write_fit_report_csv(params, report, report_tmp)
         with open(params_tmp, "w", encoding="utf-8") as f:
@@ -127,27 +127,19 @@ def cmd_fit(args) -> int:
 
     if args.format == "csv":
         w = csv.writer(sys.stdout)
-        w.writerow(["station_id", "jitter_m", "n_samples", "rss_contribution"])
-        for sid in sorted(params.jitter_m):
-            w.writerow([sid, f"{params.jitter_m[sid]:.6f}", report.n_samples[sid],
-                        f"{report.rss_by_station[sid]:.6g}"])
-        w.writerow([C_ROW_ID, f"{params.c_m:.6f}", sum(report.n_samples.values()),
-                    f"{report.rss_m4:.6g}"])
+        w.writerow(FIT_REPORT_COLUMNS)
+        w.writerows((sid, f"{value:.6f}", n, f"{rss:.6g}") for sid, value, n, rss in rows)
     else:
-        for sid in sorted(params.jitter_m):
-            print(
-                f"{sid}: J = {params.jitter_m[sid]:.6f} m  "
-                f"(n={report.n_samples[sid]}, rss={report.rss_by_station[sid]:.6g} m^4)"
-            )
-        print(f"C = {params.c_m:.6f} m")
-        print(f"RSS = {report.rss_m4:.6g} m^4")
+        for sid, j, n, rss in stations:
+            print(f"{sid}: J = {j:.6f} m  (n={n}, rss={rss:.6g} m^4)")
+        print(f"C = {c_m:.6f} m")
+        print(f"RSS = {rss_m4:.6g} m^4")
         print(f"fit report: {report_path}")
         print(f"params: {params_path}")
     return EXIT_OK
 
 
-def cmd_accuracy(args) -> int:
-    cfg = load_config(args.config)
+def cmd_accuracy(cfg, args) -> int:
     point = GeoPoint(args.lat, args.lon)  # ValueError -> exit 2
     res = accuracy_at(
         point, cfg.stations, cfg.params, cfg.propagation, cfg.noise, cfg.snr_threshold_db
@@ -175,8 +167,7 @@ def cmd_accuracy(args) -> int:
     return EXIT_OK
 
 
-def cmd_coverage(args) -> int:
-    cfg = load_config(args.config)
+def cmd_coverage(cfg, args) -> int:
     if cfg.grid is None:
         raise ConfigError("config has no grid section; coverage needs one")
     grid = compute_coverage(
@@ -218,7 +209,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error (printed) and 0 after --help
         return exc.code
     try:
-        code = args.func(args)
+        code = args.func(load_config(args.config), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -107,14 +107,15 @@ def window_variance(log: StationLog, window_len: int, wavelength_m: float, detre
     (any remainder is discarded). Each window yields one ``WINDOW_DTYPE``
     record, in log order:
 
-    * ``toa_var_m2`` = (wavelength / 2*pi)^2 times the sample variance
-      (denominator n-1) of the continuous phase;
+    * ``toa_var_m2`` = (wavelength / 2*pi)^2 times the residual sum of
+      squares of the continuous phase about its window mean, over n-1;
     * ``snr_linear`` = 10^(mean(snr_db)/10), the dB mean converted to a
       linear power ratio.
 
-    ``detrend="linear"`` removes a per-window least-squares line (a
-    receiver clock ramp) before the variance; the residual variance then
-    uses denominator n-2. Off by default.
+    ``detrend="linear"`` also removes each window's least-squares slope (a
+    receiver clock ramp) before the sum of squares, which then goes over
+    n-2. Off by default. With ``detrend="none"`` this is, bit for bit,
+    numpy's ``ddof=1`` variance of each window less its first element.
 
     Raises InsufficientDataError, naming the station, when the log holds
     fewer than ``window_len`` records and ValueError, naming the window,
@@ -139,14 +140,12 @@ def window_variance(log: StationLog, window_len: int, wavelength_m: float, detre
     # anchoring on each window's first element keeps the variance well
     # conditioned when the mean phase dwarfs its scatter
     p = phase - phase[:, :1]
+    p = p - p.mean(axis=1, keepdims=True)
     if detrend == "linear":
         # least-squares line on centered time: the intercept is the window mean, the slope p.t / t.t
         t = np.arange(window_len) - (window_len - 1) / 2.0
-        p = p - p.mean(axis=1, keepdims=True)
         p -= (p @ t / (t @ t))[:, None] * t
-        var = (p * p).sum(axis=1) / (window_len - 2)
-    else:
-        var = np.var(p, axis=1, ddof=1)
+    var = (p * p).sum(axis=1) / (window_len - 2 if detrend == "linear" else window_len - 1)
     mean_db = np.mean(log.snr_db[: n_windows * window_len].reshape(shape), axis=1).tolist()
     scale = (wavelength_m / TWO_PI) ** 2
     # the dB -> linear power stays on Python floats: numpy's vectorised pow

@@ -24,6 +24,7 @@ from .ingest import WINDOW_DTYPE
 from .nnls import nnls
 
 C_ROW_ID = "C"  # the fit report's row for the shared constant; no station may take this id
+FIT_REPORT_COLUMNS = ("station_id", "jitter_m", "n_samples", "rss_contribution")
 
 
 @dataclass(frozen=True)
@@ -151,23 +152,22 @@ def fit_params(windows, trim_fraction: float = 0.0) -> tuple[ModelParams, FitRep
     return params, report
 
 
-def write_fit_report_csv(params: ModelParams, report: FitReport, path) -> None:
-    """Write the fit report: one row per station, then a footer row for C.
+def fit_report_rows(params: ModelParams, report: FitReport) -> Iterator[tuple[str, float, int, float]]:
+    """The fit table's rows under ``FIT_REPORT_COLUMNS``: ``(station_id, value, n_samples, rss)``.
 
-    Schema ``station_id,jitter_m,n_samples,rss_contribution``; the footer
-    row uses the reserved id ``C`` (``C_ROW_ID``) with the constant in the jitter_m
-    column, total sample count, and total RSS.
+    One row per station in id order with its jitter in meters, then the
+    ``C_ROW_ID`` row with the shared constant, the total sample count and
+    the total RSS. Every rendering of a fit (the report CSV, the parameter
+    YAML and the CLI's stdout) prints these rows.
     """
+    for sid in sorted(params.jitter_m):
+        yield sid, params.jitter_m[sid], report.n_samples.get(sid, 0), report.rss_by_station.get(sid, 0.0)
+    yield C_ROW_ID, params.c_m, sum(report.n_samples.values()), report.rss_m4
+
+
+def write_fit_report_csv(params: ModelParams, report: FitReport, path) -> None:
+    """Write ``FIT_REPORT_COLUMNS`` and then ``fit_report_rows``, each float as its ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["station_id", "jitter_m", "n_samples", "rss_contribution"])
-        for sid in sorted(params.jitter_m):
-            w.writerow(
-                [
-                    sid,
-                    repr(params.jitter_m[sid]),
-                    report.n_samples.get(sid, 0),
-                    repr(report.rss_by_station.get(sid, 0.0)),
-                ]
-            )
-        w.writerow([C_ROW_ID, repr(params.c_m), sum(report.n_samples.values()), repr(report.rss_m4)])
+        w.writerow(FIT_REPORT_COLUMNS)
+        w.writerows((sid, repr(value), n, repr(rss)) for sid, value, n, rss in fit_report_rows(params, report))

@@ -196,6 +196,39 @@ class TestFit:
         assert lines[0] == "station_id,jitter_m,n_samples,rss_contribution"
         assert lines[-1].startswith("C,")
 
+    def test_every_output_renders_one_fit_table(self, config_factory, tmp_path, capsys):
+        # seed 2 clamps s1 to J = 0 and leaves s0 and s2 above it
+        def mutate(cfg):
+            cfg["stations"][2]["jitter_m"] = 1.41
+
+        config = config_factory(mutate=mutate)
+        logs = synth_logs(config, tmp_path / "logs", noise="gauss", windows=40, seed=2)
+        argv = ["fit", "--config", str(config), *map(str, logs)]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, csv_out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+
+        header, *rows = [line.split(",") for line in (tmp_path / "fit_report.csv").read_text().splitlines()]
+        assert header == ["station_id", "jitter_m", "n_samples", "rss_contribution"]
+        table = [(sid, float(value), int(n), float(rss)) for sid, value, n, rss in rows]
+        *stations, (c_id, c_m, n_total, rss_m4) = table
+        assert [sid for sid, *_ in stations] == ["s0", "s1", "s2"] and c_id == "C"
+        assert stations[1][1] == 0.0 and stations[0][1] > 0.0 and stations[2][1] > 0.0
+        assert n_total == sum(n for *_, n, _ in stations) and rss_m4 == sum(rss for *_, rss in stations)
+
+        params = yaml.safe_load((tmp_path / "fitted_params.yaml").read_text())
+        assert list(params) == ["jitter_m", "c_m"]
+        assert list(params["jitter_m"].items()) == [(sid, j) for sid, j, _, _ in stations]
+        assert params["c_m"] == c_m
+
+        printed = [[sid, f"{value:.6f}", str(n), f"{rss:.6g}"] for sid, value, n, rss in table]
+        assert csv_out.splitlines() == [",".join(header), *map(",".join, printed)]
+        *station_lines, c_line, rss_line, report_line, params_line = text.splitlines()
+        assert station_lines == [f"{sid}: J = {j} m  (n={n}, rss={rss} m^4)" for sid, j, n, rss in printed[:-1]]
+        assert c_line == f"C = {printed[-1][1]} m" and rss_line == f"RSS = {printed[-1][3]} m^4"
+        assert report_line.startswith("fit report: ") and params_line.startswith("params: ")
+
     def test_station_split_over_two_files_fits_like_one(self, config_factory, tmp_path, capsys):
         config = config_factory()
         logs = synth_logs(config, tmp_path / "logs", noise="gauss", windows=20, seed=2)

@@ -5,9 +5,13 @@ Each case builds its inputs from fixed seeds in a fresh directory, runs
 and lattice files it read, and its text and CSV stdout (with the run
 directory replaced by ``<run>``). The point case hashes the ``repr`` of
 what ``accuracy_at`` returns along a track. The table holds digests only,
-no output files. A mismatch names the file and the numpy version that made
-the table: the coverage accuracy goes through numpy's vectorised ``pow``, whose
-last bit can differ between numpy versions.
+no output files. A mismatch names the file, and the numpy version and SIMD
+dispatch that made the table beside the ones running: the digests go
+through numpy's vectorised float64 ``power``, ``arctan2``, ``arcsin``,
+``log10``, ``sin`` and ``cos``, whose last bit can differ between numpy
+versions and between the CPU targets numpy dispatches them to. On an
+AVX-512 host, ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+moves them to older kernels and changes bytes in every case.
 
 Regenerate the table only with a change that says which bytes changed and
 why; ``PYTHONPATH=src python tests/test_golden.py`` prints a fresh one.
@@ -36,6 +40,7 @@ from helpers import synth_logs
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml"
 
 DIGESTS_NUMPY = "2.4.6"
+DIGESTS_DISPATCH = "arcsin=X86_V4 arctan2=X86_V4 cos=X86_V4 log10=X86_V4 power=X86_V4 sin=X86_V4"
 DIGESTS = {
     "coverage-lattice/lattices/field_chungju.csv": "de3b9d25db3648326b452d03f3d54e3667a471598a8ae3f1426d9cc0fbe66a2d",
     "coverage-lattice/lattices/field_eocheong.csv": "39be50773899a4f75b27a42b21306e009cc3dd960778a47d4cb308c5f67ea4fe",
@@ -91,6 +96,12 @@ DIGESTS = {
     "point-lattice/track-points": "ad3547750b4952aaf3856fc2541217d8c85e37be683381ac63044363e58e5e16",
     "point-lattice/track-stations": "e93d3ca1877ffb04025d9726d195c50d9f8b9f609cfae3fd9e6d1bad95fbdec7",
 }
+
+
+def _dispatch() -> str:
+    """The CPU target each float64 ufunc the digests go through runs on in this process."""
+    info = np.lib.introspect.opt_func_info(func_name="^(arcsin|arctan2|cos|log10|power|sin)$", signature="float64")
+    return " ".join(f"{name}={sig['current']}" for name, sigs in sorted(info.items()) for sig in sigs.values())
 
 
 def _cli(run_dir: Path, *argv) -> str:
@@ -241,7 +252,8 @@ def test_outputs_match_golden_digests(case, tmp_path):
     changed = [name for name in sorted(got) if got[name] != want[name]]
     assert not changed, (
         f"output bytes changed: {', '.join(changed)} "
-        f"(digests made with numpy {DIGESTS_NUMPY}, running numpy {np.__version__})"
+        f"(digests made with numpy {DIGESTS_NUMPY}, dispatch {DIGESTS_DISPATCH}; "
+        f"running numpy {np.__version__}, dispatch {_dispatch()})"
     )
 
 
@@ -249,6 +261,7 @@ if __name__ == "__main__":
     import tempfile
 
     print(f'DIGESTS_NUMPY = "{np.__version__}"')
+    print(f'DIGESTS_DISPATCH = "{_dispatch()}"')
     print("DIGESTS = {")
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:

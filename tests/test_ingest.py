@@ -226,6 +226,26 @@ class TestWindowVariance:
             bound = 8.0 * np.finfo(float).eps * (p * p).sum(axis=1) / (n - 2)
             assert np.all(np.abs(got - polyfit_detrended_variance(log, n, 2.0 * math.pi)) <= bound)
 
+    @pytest.mark.parametrize("window_len", [2, 3, 17, 100])
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_windows=st.integers(1, 6),
+        extra=st.integers(0, 99),
+        offset=st.floats(-2.0, 2.0) | st.floats(-1e3 - 1.0, -1e3 + 1.0) | st.floats(1e3 - 1.0, 1e3 + 1.0),
+        spread=st.floats(1e-8, 1e2),
+        lam=st.floats(1.0, 3e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_no_detrend_is_numpy_sample_variance_bit_for_bit(self, window_len, n_windows, extra, offset, spread,
+                                                             lam, seed):
+        # the variance as np.var(ddof=1) of the windows anchored on their first element, kept as a reference
+        n = n_windows * window_len + extra % window_len
+        phase = offset + spread * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        got = window_variance(StationLog("s", np.arange(n, dtype=float), phase, np.full(n, 20.0)), window_len, lam)
+        p = unwrap_phase(phase)[: n_windows * window_len].reshape(n_windows, window_len)
+        want = (lam / (2.0 * math.pi)) ** 2 * np.var(p - p[:, :1], axis=1, ddof=1)
+        assert got["toa_var_m2"].tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             window_variance(make_log([0.0] * 10), window_len=1, wavelength_m=wavelength_m(300e3))
