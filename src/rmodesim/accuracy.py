@@ -2,10 +2,14 @@
 
 Each usable station contributes one row [cos(theta), sin(theta), 1] to the
 geometry matrix G, with theta its azimuth clockwise from north; the state
-columns are then (north error, east error, receiver clock). With R the
-diagonal of per-station TOA variances, the position-error covariance is
-K = (G' R^-1 G)^-1 and the 95% horizontal accuracy is 2*sqrt(K11 + K22),
-the two horizontal diagonal entries. This is repeatable accuracy: the
+columns are then (north error, east error, receiver clock). The rows come
+from the great-circle bearing's north and east components x and y
+(``geodesy.bearing_components``) as (x/h, y/h, 1) with h = hypot(x, y), so
+no azimuth is formed; the azimuth is a diagnostic of the point query
+``accuracy_at`` only, folded from the same components as
+``geodesy.bearing_rad`` folds them. With R the diagonal of per-station TOA
+variances, the position-error covariance is K = (G' R^-1 G)^-1 and the 95%
+horizontal accuracy is 2*sqrt(K11 + K22), the two horizontal diagonal entries. This is repeatable accuracy: the
 solution is assumed unbiased, with propagation-delay biases corrected
 elsewhere.
 
@@ -16,8 +20,8 @@ rotation invariant); the formulas hold verbatim for any N >= 3 stations.
 query ``accuracy_at`` and the coverage sweep both call it.
 
 The kernel eliminates the clock before it sums: with W = sum w_i, u_i the
-unit vector (cos, sin) of theta_i and u_bar = sum w_i u_i / W, the
-horizontal block of K is H^-1 for H = sum w_i (u_i - u_bar)(u_i - u_bar)',
+unit vector (x_i, y_i) / h_i towards station i and u_bar = sum w_i u_i / W,
+the horizontal block of K is H^-1 for H = sum w_i (u_i - u_bar)(u_i - u_bar)',
 a two-pass weighted variance (Chan, Golub & LeVeque, Am. Stat. 37(3),
 1983), and the accuracy is 2*sqrt((h00 + h11) / det H).
 
@@ -45,7 +49,7 @@ from .errors import (
     TooFewStationsError,
     UnknownStationError,
 )
-from .geodesy import GeoPoint, bearing_rad
+from .geodesy import GeoPoint, azimuth_rad, bearing_components
 from .propagation import NoiseSpec, PropagationSpec, TransmitterStation, field_strength_dbuv_m
 from .variance_model import ModelParams, toa_variance_m2
 
@@ -78,17 +82,17 @@ def _singular(det, total, cos, sin, weights, skip):
     return singular
 
 
-def _inverse_normal(az_rad: np.ndarray, weights: np.ndarray, skip=np.False_):
+def _inverse_normal(cos: np.ndarray, sin: np.ndarray, weights: np.ndarray, skip=np.False_):
     """The pieces of (G' R^-1 G)^-1 summed over the leading station axis, and where it is singular.
 
-    ``az_rad`` and ``weights`` share shape (S, ...); a zero weight drops a
-    station. ``skip`` goes to ``_singular``. With each cell's weights scaled
-    by a power of two, returns the centered sums ``(h00, h01, h11)``, det H,
-    the mean direction ``u_bar``, the total weight W, the flags and the
-    exponent ``shift`` that undoes the scale, each of shape (...); where not
+    ``cos``, ``sin`` (the stations' direction cosines) and ``weights``
+    share shape (S, ...); a zero weight drops a station. ``skip`` goes to
+    ``_singular``. With each cell's weights scaled by a power of two,
+    returns the centered sums ``(h00, h01, h11)``, det H, the mean
+    direction ``u_bar``, the total weight W, the flags and the exponent
+    ``shift`` that undoes the scale, each of shape (...); where not
     singular, H^-1 is ``np.ldexp([[h11, -h01], [-h01, h00]] / det, shift)``.
     """
-    cos, sin = np.cos(az_rad), np.sin(az_rad)
     # each cell's largest weight to [0.5, 1): exact, and keeps W and det H in range
     _, exponent = np.frexp(weights.max(axis=0))
     weights = np.ldexp(weights, -exponent)
@@ -121,7 +125,7 @@ def covariance(azimuths_rad, sigma2_m2) -> np.ndarray:
         weights = 1.0 / s2
     if not (np.all(s2 > 0.0) and np.all(weights < np.inf)):
         raise ValueError("all sigma2 must be > 0 with a finite reciprocal")
-    (h00, h01, h11), det, u_bar, total, singular, shift = _inverse_normal(az, weights)
+    (h00, h01, h11), det, u_bar, total, singular, shift = _inverse_normal(np.cos(az), np.sin(az), weights)
     if singular:
         raise SingularGeometryError("normal matrix is singular or too ill-conditioned to invert")
     h_inv = np.array([[h11, -h01], [-h01, h00]]) / det
@@ -153,13 +157,15 @@ def accuracy_arrays(
     stations is masked ``TooFewStations``; one whose normal matrix is
     singular, ``SingularGeometry``.
 
-    Returns ``(snr_db, azimuth_rad, sigma2_m2, usable, accuracy_m,
+    Returns ``(snr_db, bearing, sigma2_m2, usable, accuracy_m,
     usable_count, mask)``. The first four have the station axis first,
-    shape (S, ...); the rest have the points' broadcast shape, with NaN accuracy
-    where masked and ``mask`` an int8 code indexing ``MASK_REASONS``: 0 where
-    unmasked, else the mask reason's position. Raises UnknownStationError for
+    shape (S, ...), ``bearing`` being the pair of ``geodesy.bearing_components``
+    from each point to each station (the east one may broadcast smaller); the
+    rest have the points' broadcast shape, with NaN accuracy where masked
+    and ``mask`` an int8 code indexing ``MASK_REASONS``: 0 where unmasked,
+    else the mask reason's position. Raises UnknownStationError for
     a station without a jitter parameter, CoincidentPointsError before any
-    propagation for a point on a transmitter site (no azimuth),
+    propagation for a point on (or within rounding of) a transmitter site,
     NonpositiveSnrError for a NaN SNR and ValueError for shapes that do not
     broadcast or a usable station whose variance is zero or too small for
     its reciprocal.
@@ -174,7 +180,10 @@ def accuracy_arrays(
         raise ValueError(f"{shapes} do not broadcast") from None
     site_lat = np.array([tx.position.lat_deg for tx in stations]).reshape(per_station)
     site_lon = np.array([tx.position.lon_deg for tx in stations]).reshape(per_station)
-    on_site = (site_lat == lat_deg) & (site_lon == lon_deg)
+    north, east = bearing_components(lat_deg, lon_deg, site_lat, site_lon)
+    h = np.hypot(north, east)
+    # a point on a site, or so close that both components round to zero, has no direction to it
+    on_site = ((site_lat == lat_deg) & (site_lon == lon_deg)) | (h == 0.0)
     if on_site.any():
         tx = stations[np.nonzero(on_site)[0][0]]
         raise CoincidentPointsError(f"azimuth undefined at the site of station {tx.station_id!r}")
@@ -182,7 +191,6 @@ def accuracy_arrays(
     snr_db = np.array([field_strength_dbuv_m(tx, lat_deg, lon_deg, prop) - noise_db for tx in stations])
     if np.isnan(snr_db).any():
         raise NonpositiveSnrError("SNR is NaN; the field strength or the noise level is not a number")
-    az = bearing_rad(lat_deg, lon_deg, site_lat, site_lon)
     jitter = np.array([params.jitter_m[tx.station_id] for tx in stations]).reshape(per_station)
     sigma2 = toa_variance_m2(jitter, params.c_m, 10.0 ** (snr_db / 10.0))
 
@@ -196,12 +204,12 @@ def accuracy_arrays(
         )
     count = usable.sum(axis=0)
     too_few = count < 3
-    (h00, _, h11), det, _, _, singular, shift = _inverse_normal(az, weights, skip=too_few)
+    (h00, _, h11), det, _, _, singular, shift = _inverse_normal(north / h, east / h, weights, skip=too_few)
     ok = ~too_few & ~singular
     with np.errstate(divide="ignore", invalid="ignore"):
         accuracy = np.where(ok, 2.0 * np.sqrt(np.ldexp((h00 + h11) / det, shift)), np.nan)
     mask = np.where(too_few, 1, np.where(singular, 2, 0)).astype(np.int8)
-    return snr_db, az, sigma2, usable, accuracy, count, mask
+    return snr_db, (north, east), sigma2, usable, accuracy, count, mask
 
 
 @dataclass(frozen=True)
@@ -246,10 +254,11 @@ def accuracy_at(
     """
     if not stations:
         raise ValueError("stations must be non-empty")
-    snr_db, az, sigma2, usable, acc, count, mask = accuracy_arrays(
+    snr_db, bearing, sigma2, usable, acc, count, mask = accuracy_arrays(
         p.lat_deg, p.lon_deg, stations, params, prop, noise, snr_threshold_db
     )
     snr_linear = 10.0 ** (snr_db / 10.0)
+    az = azimuth_rad(*bearing)  # as geodesy.bearing_rad folds the same components
     columns = zip(snr_db.tolist(), snr_linear.tolist(), sigma2.tolist(), az.tolist(), usable.tolist())
     diags = [StationAccuracy(tx.station_id, *col) for tx, col in zip(stations, columns)]
     reason = MASK_REASONS[mask.item()] or None

@@ -25,13 +25,18 @@ from .variance_model import ModelParams
 # A grid holds about 10 B/cell (8 accuracy, 1 mask code, 1-2 count), so
 # the limit keeps a map's arrays near 100 MB.
 CELL_LIMIT = 10_000_000
-# Cells per kernel call, in whole rows or a slice of one row: big enough to
-# amortise the call and to let two workers overlap, small enough that the
-# kernel's temporaries (a tracemalloc peak of about 420 B/cell with three
-# stations, the per-station arrays among them) stay near 2 MiB per worker
-# and are never held grid-wide, however wide a row is. The CSV writer
-# joins its rows' text in slices of the same width, for the same reason.
-_BLOCK_CELLS = 5000
+# Cells per kernel call, in whole rows or a slice of one row. A call costs
+# about 0.8 ms of small numpy steps that hold the GIL whatever its size, so
+# the two workers overlap only on large blocks: on a 2-vCPU host the
+# 601x601 map's sweep at 2 threads took 0.088 s at 5,000 cells, 0.057 s at
+# 10,000 and 0.048 s at 20,000 (medians of 15). At 10,000 the kernel's
+# temporaries (a tracemalloc peak of about 390 B/cell with three stations,
+# the per-station arrays among them) stay near 4 MiB per worker and are
+# never held grid-wide, however wide a row is.
+_BLOCK_CELLS = 10_000
+# Longitudes per string the CSV writer joins, apart from the sweep's block,
+# so that a wide row's text stays in 5,000-cell pieces.
+_CSV_BLOCK_CELLS = 5000
 _PIXEL_STRINGS = np.array([str(v) for v in range(256)], dtype=object)
 
 
@@ -185,8 +190,8 @@ def write_coverage_csv(grid: CoverageGrid, path) -> None:
         f.write("lat_deg,lon_deg,accuracy_m,usable_count,mask\r\n")
         rows = zip(grid.lat_deg.tolist(), grid.accuracy_m, grid.usable_count, grid.mask_code)
         for lat, acc, cnt, code in rows:
-            for j in range(0, len(lon_strs), _BLOCK_CELLS):
-                block = slice(j, j + _BLOCK_CELLS)
+            for j in range(0, len(lon_strs), _CSV_BLOCK_CELLS):
+                block = slice(j, j + _CSV_BLOCK_CELLS)
                 cells = [f"{lat:.6f},"] * (3 * len(lon_strs[block]))
                 cells[1::3], cells[2::3] = lon_strs[block], suffixes[code[block], cnt[block]].tolist()
                 f.write("".join(cells) % tuple(acc[block][code[block] == 0].tolist()))

@@ -479,19 +479,19 @@ def loop_load_field_grid(path):
     return FieldGrid(lat_axis, lon_axis, np.array(values).reshape(n_lat, n_lon))
 
 
-def eigvalsh_inverse_normal(az_rad, weights):
+def eigvalsh_inverse_normal(c, s, weights):
     """The singular flags of ``accuracy._inverse_normal`` as an all-``eigvalsh`` test gives them.
 
     The reference for the kernel's flags: the raw-sum normal matrix of the
-    unscaled weights, singular where ``eigvalsh``'s condition number is above
-    ``CONDITION_LIMIT`` or undefined. The kernel's trace screen and power-of-two
-    scaling must give the same flags on every cell.
+    direction cosines ``c``, ``s`` and the unscaled weights, singular where
+    ``eigvalsh``'s condition number is above ``CONDITION_LIMIT`` or undefined.
+    The kernel's trace screen and power-of-two scaling must give the same
+    flags on every cell.
     """
     from rmodesim.accuracy import CONDITION_LIMIT
 
-    c, s = np.cos(az_rad), np.sin(az_rad)
     wc, ws = weights * c, weights * s
-    m = np.empty(az_rad.shape[1:] + (3, 3))
+    m = np.empty(weights.shape[1:] + (3, 3))
     m[..., 0, 0] = (wc * c).sum(axis=0)
     m[..., 0, 1] = m[..., 1, 0] = (wc * s).sum(axis=0)
     m[..., 0, 2] = m[..., 2, 0] = wc.sum(axis=0)

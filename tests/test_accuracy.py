@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rmodesim import (
@@ -24,6 +24,7 @@ import rmodesim.accuracy as accuracy_module
 from rmodesim.accuracy import CONDITION_LIMIT, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS, accuracy_arrays
 from rmodesim.config import load_config
 from rmodesim.errors import CoincidentPointsError, SingularGeometryError, TooFewStationsError, UnknownStationError
+from rmodesim.geodesy import bearing_rad
 
 from helpers import destination_point, eigvalsh_inverse_normal, mc_wls_horizontal_cov
 
@@ -94,6 +95,22 @@ class TestCovariance:
             covariance(EQUIANGULAR, [1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="finite reciprocal"):
             covariance(EQUIANGULAR, [1.0, 1e-310, 1.0])  # 1 / 1e-310 overflows
+
+
+def accuracy_and_cosines(p, stations, *args):
+    """``accuracy_at(p, stations, *args)`` and the direction cosines its kernel summed, as given to ``_inverse_normal``."""
+    seen = []
+    inverse_normal = accuracy_module._inverse_normal
+
+    def spy(c, s, *rest, **kwargs):
+        seen.append((c, s))
+        return inverse_normal(c, s, *rest, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accuracy_module, "_inverse_normal", spy)
+        res = accuracy_at(p, stations, *args)
+    ((c, s),) = seen
+    return res, c, s
 
 
 def eigvalsh_condition(az, w):
@@ -168,8 +185,8 @@ class TestConditionCheck:
         az = np.stack([c[0] for c in cells], axis=-1).reshape((n + zero_weight,) + shape)
         w = np.stack([c[1] for c in cells], axis=-1).reshape(az.shape)
 
-        *_, singular, _ = accuracy_module._inverse_normal(az, w)
-        singular_ref = eigvalsh_inverse_normal(az, w)
+        *_, singular, _ = accuracy_module._inverse_normal(np.cos(az), np.sin(az), w)
+        singular_ref = eigvalsh_inverse_normal(np.cos(az), np.sin(az), w)
         assert singular.shape == singular_ref.shape == shape
         assert np.array_equal(singular, singular_ref)
 
@@ -179,9 +196,9 @@ class TestConditionCheck:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.shape[:-2]) or eigvalsh(m))
         rng = np.random.default_rng(5)
         az = np.stack([random_geometry(rng, 4) for _ in range(200)], axis=-1)
-        *_, singular, _ = accuracy_module._inverse_normal(az, rng.uniform(0.1, 10.0, az.shape))
+        *_, singular, _ = accuracy_module._inverse_normal(np.cos(az), np.sin(az), rng.uniform(0.1, 10.0, az.shape))
         assert not singular.any() and seen == []
-        *_, singular, _ = accuracy_module._inverse_normal(np.full((3, 7), 0.3), np.ones((3, 7)))
+        *_, singular, _ = accuracy_module._inverse_normal(np.full((3, 7), 0.6), np.full((3, 7), 0.8), np.ones((3, 7)))
         assert singular.all() and seen == [(7,)]
 
     def test_eigvalsh_skips_points_with_too_few_stations(self, monkeypatch):
@@ -204,7 +221,7 @@ class TestConditionCheck:
         # the closed form alone doubts this geometry
         az = np.array([st.azimuth_rad for st in before.stations])
         w = np.array([1.0 / st.sigma2_m2 if st.usable else 0.0 for st in before.stations])
-        accuracy_module._inverse_normal(az, w)
+        accuracy_module._inverse_normal(np.cos(az), np.sin(az), w)
         assert seen == [(1,)]
 
 
@@ -226,7 +243,7 @@ class TestTraceBound:
         with pytest.MonkeyPatch.context() as mp:
             # every cell that reaches eigvalsh comes back singular, so the flags are the screen's
             mp.setattr(np.linalg, "eigvalsh", lambda m: np.zeros(m.shape[:-1]))
-            *_, doubted, _ = accuracy_module._inverse_normal(az, w)
+            *_, doubted, _ = accuracy_module._inverse_normal(np.cos(az), np.sin(az), w)
         for (g_az, g_w), cleared in zip(geometries, ~doubted):
             with mpmath.workdps(50):
                 g = mpmath.matrix(np.column_stack([np.cos(g_az), np.sin(g_az), np.ones(n)]).tolist())
@@ -250,7 +267,10 @@ def condition_decade_cells(rng, per_decade, decades=12):
         else:
             geometry = degenerating_geometry(rng, rng.choice(["identical", "opposite", "weak"]), n)
             az, w = geometry(10.0 ** rng.uniform(-7.0, 0.0))
-        decade = math.floor(math.log10(eigvalsh_condition(az, w)))
+        condition = eigvalsh_condition(az, w)
+        if not np.isfinite(condition):  # an exactly singular draw has no decade
+            continue
+        decade = math.floor(math.log10(condition))
         if 0 <= decade < decades and len(cells[decade]) < per_decade:
             cells[decade].append((az, w))
     return cells
@@ -261,8 +281,8 @@ def printed_accuracy_errors(mpmath, cells):
 
     The stations sit 100 km from the point at the cell's azimuths with
     jitter 1/sqrt(w) and C = 0; the reference inverts the normal matrix of
-    the azimuths and variances ``accuracy_at`` reports, rounded as the kernel
-    sees them. A masked cell gives None.
+    the direction cosines the kernel summed and the variances ``accuracy_at``
+    reports, rounded as the kernel sees them. A masked cell gives None.
     """
     args = (ParametricPropagation(100.0, 0.0), NoiseSpec(level_dbuv_m=40.0), -1000.0)
     errors = []
@@ -272,14 +292,13 @@ def printed_accuracy_errors(mpmath, cells):
             for i, a in enumerate(az.tolist())
         ]
         params = ModelParams({f"s{i}": 1.0 / math.sqrt(x) for i, x in enumerate(w.tolist())}, 0.0)
-        res = accuracy_at(GeoPoint(0.0, 0.0), stations, params, *args)
+        res, c, s = accuracy_and_cosines(GeoPoint(0.0, 0.0), stations, params, *args)
         if res.masked:
             errors.append(None)
             continue
-        g_az = np.array([st.azimuth_rad for st in res.stations])
         g_w = 1.0 / np.array([st.sigma2_m2 for st in res.stations])
         with mpmath.workdps(50):
-            g = mpmath.matrix(np.column_stack([np.cos(g_az), np.sin(g_az), np.ones(g_az.size)]).tolist())
+            g = mpmath.matrix(np.column_stack([c, s, np.ones(c.size)]).tolist())
             m = g.T * mpmath.diag(g_w.tolist()) * g
             lam = mpmath.eigsy(m, eigvals_only=True)
             k = mpmath.inverse(m)
@@ -294,6 +313,8 @@ class TestPrintedAccuracy:
     # Relative error at most eps times the condition number. Over 3,000 cells per
     # decade (36,000 cells) the clock-eliminated kernel's worst was 0.49; over 1,000
     # per decade the adjugate it replaced reached 4.4 in 1e2-1e3 and 6.6e4 in 1e10-1e11.
+    # With rows from the bearing's components, 1,000 per decade (seed 24) gave 0.35,
+    # against 0.33 from cos and sin of the azimuth on the same cells.
     BOUND = 1.0
 
     def test_relative_error_is_bounded_in_every_condition_decade(self):
@@ -435,11 +456,10 @@ class TestAccuracyAt:
             scaled = lambda j: ModelParams({f"s{i}": math.ldexp(x, j) for i, x in enumerate(jitter)}, math.ldexp(22.15, j))
             base = accuracy_at(self.center, stations, scaled(0), *args)
             for j in range(-400, 401):
-                res = accuracy_at(self.center, stations, scaled(j), *args)
-                az = np.array([d.azimuth_rad for d in res.stations])
+                res, c, s = accuracy_and_cosines(self.center, stations, scaled(j), *args)
                 w = np.array([1.0 / d.sigma2_m2 if d.usable else 0.0 for d in res.stations])
                 with np.errstate(all="ignore"):  # the reference sums the unscaled matrix
-                    singular_ref = eigvalsh_inverse_normal(az, w)
+                    singular_ref = eigvalsh_inverse_normal(c, s, w)
                 assert res.mask_reason == (MASK_SINGULAR_GEOMETRY if singular_ref else None)
                 assert res.mask_reason == base.mask_reason
                 if base.accuracy_m is not None:
@@ -503,6 +523,68 @@ class TestTransmitterSite:
         with pytest.raises(CoincidentPointsError, match="site of station"):
             compute_coverage(spec, self.stations, self.params, self.props[prop], self.noise, -15.0)
 
+    def test_a_point_within_rounding_of_a_site_raises_on_both_paths(self):
+        # one ulp north of this site both bearing components round to zero, so the
+        # station has no direction (the unit vector would be 0/0)
+        site = GeoPoint(7.765248480845273, 10.0)
+        p = GeoPoint(float(np.nextafter(site.lat_deg, 90.0)), site.lon_deg)
+        stations = [
+            TransmitterStation("a", site, 300.0, 300e3),
+            TransmitterStation("b", GeoPoint(8.5, 11.0), 300.0, 300e3),
+            TransmitterStation("c", GeoPoint(7.0, 11.0), 300.0, 300e3),
+        ]
+        args = (ModelParams({"a": 0.0, "b": 0.0, "c": 0.0}, 22.15), ParametricPropagation(), self.noise, -15.0)
+        with pytest.raises(CoincidentPointsError, match="site of station 'a'"):
+            accuracy_at(p, stations, *args)
+        spec = GridSpec(p.lat_deg, p.lat_deg + 0.5, 9.5, 10.5, 0.5)  # a node on p
+        with pytest.raises(CoincidentPointsError, match="site of station 'a'"):
+            compute_coverage(spec, stations, *args)
+
+
+class TestDirectionCosines:
+    """The kernel's rows are x/h and y/h of the bearing's components; the point query reports geodesy's bearing."""
+
+    # |x/h - cos b| and |y/h - sin b| in units of eps, b the folded bearing. Over 2e6 random pairs
+    # of points the worst was 3.75: b's own rounding (the mod by 2*pi) dominates, since x/h is
+    # within 0.75 eps of the exact direction of (x, y) where cos b is within 3.7.
+    ULPS = 6.0
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["any", "north", "south", "east", "west", "shared_meridian"]),
+        site=st.tuples(st.floats(-60.0, 60.0), st.floats(-170.0, 170.0)),
+        offset=st.floats(1e-3, 5.0),
+        other=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    )
+    def test_azimuth_is_the_bearing_and_cosines_its_direction(self, kind, site, offset, other):
+        lat, lon = site
+        # the point due north, south, east or west of the first site, or anywhere near it; with
+        # "shared_meridian" the second site is on the first one's meridian too, as in the
+        # point-lattice golden case, so the point sees two stations straight along it
+        point = {
+            "north": (lat + offset, lon), "south": (lat - offset, lon), "east": (lat, lon + offset),
+            "west": (lat, lon - offset), "shared_meridian": (lat + other[0], lon),
+            "any": (lat + other[0], lon + other[1]),
+        }[kind]
+        second = (lat + offset, lon) if kind == "shared_meridian" else (lat + other[1], lon - other[0])
+        sites = [site, second, (lat - 1.0, lon + 2.0)]
+        apart = lambda a, b: max(abs(a[0] - b[0]), abs(a[1] - b[1])) >= 1e-3  # far from rounding to one point
+        assume(all(apart(point, s) for s in sites) and apart(second, site))
+        stations = [TransmitterStation(f"s{i}", GeoPoint(*s), 300.0, 300e3) for i, s in enumerate(sites)]
+        params = ModelParams({tx.station_id: 1.0 for tx in stations}, 22.15)
+        args = (params, ParametricPropagation(100.0, 0.0), NoiseSpec(level_dbuv_m=40.0), -1000.0)
+        res, c, s = accuracy_and_cosines(GeoPoint(*point), stations, *args)
+        az = np.array([st.azimuth_rad for st in res.stations])
+        for a, (site_lat, site_lon) in zip(az.tolist(), sites):
+            assert a == float(bearing_rad(point[0], point[1], site_lat, site_lon))
+        assert np.abs(c - np.cos(az)).max() <= self.ULPS * self.EPS
+        assert np.abs(s - np.sin(az)).max() <= self.ULPS * self.EPS
+        assert np.abs(np.hypot(c, s) - 1.0).max() <= 2.0 * self.EPS
+        on_meridian = [i for i, (_, site_lon) in enumerate(sites) if site_lon == point[1]]
+        # straight along a meridian the east component is zero, so the row is exactly (+-1, 0)
+        assert all(s[i] == 0.0 and abs(c[i]) == 1.0 for i in on_meridian)
+
 
 class TestMixedShapes:
     """``accuracy_arrays`` broadcasts latitude against longitude."""
@@ -517,7 +599,8 @@ class TestMixedShapes:
         lons = np.array([126.0, 126.5, 127.0])
         mixed = self.run(36.0, lons)
         equal = self.run(np.full(3, 36.0), lons)
-        for a, b in zip(mixed, equal):
+        # the bearing is a pair of component arrays, the rest one array each
+        for a, b in zip((*mixed[:1], *mixed[1], *mixed[2:]), (*equal[:1], *equal[1], *equal[2:])):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         cfg = self.cfg
         points = [

@@ -556,7 +556,7 @@ def cycled_grid(spec):
 def block_seam_grid():
     # two rows seven cells wider than one writer block; neither cycle
     # divides the block width, so the seam cuts both mid-way
-    n_lon = coverage_module._BLOCK_CELLS + 7
+    n_lon = coverage_module._CSV_BLOCK_CELLS + 7
     spec = GridSpec(-0.5, -0.499, 179.0 - (n_lon - 1) * 0.001, 179.0, 0.001)
     assert (spec.n_lat, spec.n_lon) == (2, n_lon)
     return cycled_grid(spec)
@@ -690,7 +690,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         # the longitude texts, and under 1,000 B per cell of one block's strings
-        assert peak < 100 * spec.n_lon + 1000 * coverage_module._BLOCK_CELLS
+        assert peak < 100 * spec.n_lon + 1000 * coverage_module._CSV_BLOCK_CELLS
 
 
 class TestContour:

@@ -7,11 +7,15 @@ directory replaced by ``<run>``). The point case hashes the ``repr`` of
 what ``accuracy_at`` returns along a track. The table holds digests only,
 no output files. A mismatch names the file, and the numpy version and SIMD
 dispatch that made the table beside the ones running: the digests go
-through numpy's vectorised float64 ``power``, ``arctan2``, ``arcsin``,
-``log10``, ``sin`` and ``cos``, whose last bit can differ between numpy
-versions and between the CPU targets numpy dispatches them to. On an
-AVX-512 host, ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
-moves them to older kernels and changes bytes in every case.
+through numpy's vectorised float64 ``power``, ``arctan2`` (the point
+query's azimuths), ``arcsin``, ``log10``, ``sin`` and ``cos``, whose last
+bit can differ between numpy versions and between the CPU targets numpy
+dispatches them to, and through ``hypot`` (the coverage kernel's direction
+cosines), which numpy does not dispatch (``none``) and takes from the C
+library. On an AVX-512 host, ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"`` moves them to older kernels and changes bytes in every case.
+The mask-count test pins each coverage case's cells by mask reason apart
+from the accuracy digits.
 
 Regenerate the table only with a change that says which bytes changed and
 why; ``PYTHONPATH=src python tests/test_golden.py`` prints a fresh one.
@@ -19,10 +23,12 @@ why; ``PYTHONPATH=src python tests/test_golden.py`` prints a fresh one.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import hashlib
 import io
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +46,7 @@ from helpers import synth_logs
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "korea_mf.yaml"
 
 DIGESTS_NUMPY = "2.4.6"
-DIGESTS_DISPATCH = "arcsin=X86_V4 arctan2=X86_V4 cos=X86_V4 log10=X86_V4 power=X86_V4 sin=X86_V4"
+DIGESTS_DISPATCH = "arcsin=X86_V4 arctan2=X86_V4 cos=X86_V4 hypot=none log10=X86_V4 power=X86_V4 sin=X86_V4"
 DIGESTS = {
     "coverage-lattice/lattices/field_chungju.csv": "de3b9d25db3648326b452d03f3d54e3667a471598a8ae3f1426d9cc0fbe66a2d",
     "coverage-lattice/lattices/field_eocheong.csv": "39be50773899a4f75b27a42b21306e009cc3dd960778a47d4cb308c5f67ea4fe",
@@ -49,17 +55,17 @@ DIGESTS = {
     "coverage-lattice/coverage-stdout-text": "e5958161e11de1a7ace42ad9d4175e6a72e3a2c37b238faabd2b687959f743f6",
     "coverage-lattice/coverage-stdout-csv": "0a2a4c75a7eb70e9edf4bd4ca56ca67c471912443991d85b25ecea012365879a",
     "coverage-lattice/out/contour_10m.csv": "93f572ca039d2a6fff1395227643f70664d39e020783f008cb25345be13fc22c",
-    "coverage-lattice/out/coverage.csv": "a8b6f248d5f6fa238afe14dddea34f02a148b7fe68a99ee967497460b52c5be4",
+    "coverage-lattice/out/coverage.csv": "b6a25c7628fc278b1c68797b5f0e29b5c90153caef4919c799155f866d51261d",
     "coverage-lattice/out/coverage.pgm": "256f52ab860ff539817156c95045c267300b1e77f96297111a2262c532381288",
     "coverage-masks/coverage-stdout-text": "f43f1e10307dd0d759a39c8d6877d1a68229c54be54a7cba8ade9a8993660fa5",
     "coverage-masks/coverage-stdout-csv": "d635db1513ed773a9192df567d9babe79ea9b8bda2ddb892ab856168e188447d",
     "coverage-masks/out/contour_10m.csv": "6956a7ec8785eec6ca8f4a275141d8a7679671a0d661c9f1dcde96e91039efef",
-    "coverage-masks/out/coverage.csv": "29c5e8a43f99510a9b24aa6772bdc62f7e7f2a47bdc86c2b173f7e2a882a8690",
+    "coverage-masks/out/coverage.csv": "c2523c58391219f15bff0d36cf1358c78ddb8c0506fd08102bd59d6d5602894e",
     "coverage-masks/out/coverage.pgm": "944b0318aff41bf59e23e3a2dede604c8d121b34f2285fe5186cc0e535c6f9d2",
     "coverage-shipped/coverage-stdout-text": "0cb3251c208a14aba9fd83b4a7ec01b0510aa2f2e9f7233eb712e5a64f8ac2b0",
     "coverage-shipped/coverage-stdout-csv": "bd323b7b6517391b1492899c8eab7e79d756f9645b2d66f151eb31cf3b2b2676",
     "coverage-shipped/out/contour_10m.csv": "30454340437b1cf06fa2dfa7dad6035f9ced55ef00381a785965b57659eceab1",
-    "coverage-shipped/out/coverage.csv": "2969b00e829e1cb74dc3f4d9d3ba4bba8ad7e176bb79a001d5abeb3c0144920b",
+    "coverage-shipped/out/coverage.csv": "c50ea6efdfbf274efd9e55be7c76fd7742dc92e30167108abf9047ab6d84c672",
     "coverage-shipped/out/coverage.pgm": "83bf6d2b6ca6501a58e8cb7dc756ca585ea479398583bb41ff7376ad8880dd15",
     "fit-gauss/logs/chungju.csv": "9de3354b951e987c8aab16208a620c89409a347ee5fde9a39297b348126e728b",
     "fit-gauss/logs/eocheong.csv": "aed1e0f38d4c2015e98ba8d983bba6d27a22a744ddfd2e8938151ffd87be49a5",
@@ -93,15 +99,21 @@ DIGESTS = {
     "point-lattice/lattices/field_eocheong.csv": "551a4f88594da38165ddf2d6b0aef7a5f96f98120e4a2dc838efae852aa77776",
     "point-lattice/lattices/field_palmi.csv": "bc8c2cbfc92d0ace81af8fe81e3384d2e3d880a2427c86a5d55a8d2b17be13e2",
     "point-lattice/lattices/noise.csv": "d54f56de302d0405338ee778865c7103f4f2698c5422792f7ebf1892d0277081",
-    "point-lattice/track-points": "ad3547750b4952aaf3856fc2541217d8c85e37be683381ac63044363e58e5e16",
+    "point-lattice/track-points": "6af11968eab57092a41d4557669f2edcf39bed8ab3fa774667f943dccd6f9265",
     "point-lattice/track-stations": "e93d3ca1877ffb04025d9726d195c50d9f8b9f609cfae3fd9e6d1bad95fbdec7",
 }
 
 
+DIGESTED_UFUNCS = ("arcsin", "arctan2", "cos", "hypot", "log10", "power", "sin")
+
+
 def _dispatch() -> str:
-    """The CPU target each float64 ufunc the digests go through runs on in this process."""
-    info = np.lib.introspect.opt_func_info(func_name="^(arcsin|arctan2|cos|log10|power|sin)$", signature="float64")
-    return " ".join(f"{name}={sig['current']}" for name, sigs in sorted(info.items()) for sig in sigs.values())
+    """The CPU target each float64 ufunc the digests go through runs on in this process, ``none`` if not dispatched."""
+    info = np.lib.introspect.opt_func_info(func_name=f"^({'|'.join(DIGESTED_UFUNCS)})$", signature="float64")
+    return " ".join(
+        f"{name}={'/'.join(sig['current'] for sig in info[name].values()) if name in info else 'none'}"
+        for name in DIGESTED_UFUNCS
+    )
 
 
 def _cli(run_dir: Path, *argv) -> str:
@@ -240,6 +252,17 @@ CASES = {
 }
 
 
+# Cells by mask reason ("" unmasked) in each coverage case's CSV, and points on
+# the point-lattice track. Counted before the kernel took its direction cosines
+# from the bearing's components, which changed accuracy digits and no mask.
+MASK_COUNTS = {
+    "coverage-lattice": {"": 6561},
+    "coverage-masks": {"": 14265, "TooFewStations": 374, "SingularGeometry": 2},
+    "coverage-shipped": {"": 14639, "SingularGeometry": 2},
+    "point-lattice": {"": 215, "TooFewStations": 7, "SingularGeometry": 4},
+}
+
+
 def _digests(case: str, run_dir: Path) -> dict[str, str]:
     return {f"{case}/{name}": hashlib.sha256(data).hexdigest() for name, data in CASES[case](run_dir).items()}
 
@@ -255,6 +278,16 @@ def test_outputs_match_golden_digests(case, tmp_path):
         f"(digests made with numpy {DIGESTS_NUMPY}, dispatch {DIGESTS_DISPATCH}; "
         f"running numpy {np.__version__}, dispatch {_dispatch()})"
     )
+
+
+@pytest.mark.parametrize("case", sorted(MASK_COUNTS))
+def test_mask_counts(case, tmp_path):
+    out = CASES[case](tmp_path)
+    if case == "point-lattice":
+        reasons = [ast.literal_eval(line)[1] or "" for line in out["track-points"].decode().splitlines()]
+    else:
+        reasons = [row[-1] for row in csv.reader(io.StringIO(out["out/coverage.csv"].decode(), newline=""))][1:]
+    assert dict(Counter(reasons)) == MASK_COUNTS[case]
 
 
 if __name__ == "__main__":
