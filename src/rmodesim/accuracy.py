@@ -163,9 +163,9 @@ def accuracy_arrays(
     from each point to each station (the east one may broadcast smaller); the
     rest have the points' broadcast shape, with NaN accuracy where masked
     and ``mask`` an int8 code indexing ``MASK_REASONS``: 0 where unmasked,
-    else the mask reason's position. Raises UnknownStationError for
-    a station without a jitter parameter, CoincidentPointsError before any
-    propagation for a point on (or within rounding of) a transmitter site,
+    else the mask reason's position. Raises UnknownStationError for a
+    station without a jitter parameter or a field lattice,
+    CoincidentPointsError for a point on (or within rounding of) a site,
     NonpositiveSnrError for a NaN SNR and ValueError for shapes that do not
     broadcast or a usable station whose variance is zero or too small for
     its reciprocal.
@@ -250,10 +250,11 @@ def accuracy_at(
 
     Stations below the SNR threshold are dropped. Fewer than three
     usable stations, or a singular geometry, masks the point instead of
-    raising; a transmitter site raises CoincidentPointsError.
+    raising; no stations at all raise TooFewStationsError, and a site
+    CoincidentPointsError (``accuracy_arrays`` lists the other errors).
     """
     if not stations:
-        raise ValueError("stations must be non-empty")
+        raise TooFewStationsError("stations must be non-empty")
     snr_db, bearing, sigma2, usable, acc, count, mask = accuracy_arrays(
         p.lat_deg, p.lon_deg, stations, params, prop, noise, snr_threshold_db
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accuracy import MASK_REASONS, accuracy_arrays
-from .errors import GridTooLargeError
+from .errors import GridTooLargeError, TooFewStationsError
 from .geodesy import GeoPoint
 from .propagation import NoiseSpec, PropagationSpec, TransmitterStation
 from .variance_model import ModelParams
@@ -124,13 +124,15 @@ def compute_coverage(
 
     ``threads`` 0 means one worker per available CPU, 1 runs serially and
     more are capped at the CPU count; the result is identical for any
-    value. Raises ValueError when ``threads`` is negative and
-    GridTooLargeError when the grid exceeds ``CELL_LIMIT`` cells.
+    value. Raises ValueError when ``threads`` is negative,
+    TooFewStationsError for fewer than three stations, GridTooLargeError
+    when the grid exceeds ``CELL_LIMIT`` cells and ``accuracy_arrays``'s
+    errors, such as CoincidentPointsError for a node on a site.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     if len(stations) < 3:
-        raise ValueError(f"need >= 3 configured stations, got {len(stations)}")
+        raise TooFewStationsError(f"need >= 3 configured stations, got {len(stations)}")
     cells = spec.cell_count
     if cells > CELL_LIMIT:
         raise GridTooLargeError(f"{cells} cells exceeds the limit of {CELL_LIMIT}")

@@ -12,7 +12,7 @@ class ConfigError(RmodeError):
 
 
 class CoincidentPointsError(RmodeError):
-    """A query point on a transmitter site, where the azimuth to it is undefined."""
+    """A query point on a transmitter site, or at a parametric distance from one that rounds to zero."""
 
 
 class ParseError(RmodeError):
@@ -38,11 +38,11 @@ class InsufficientDataError(RmodeError):
 
 
 class UnknownStationError(RmodeError):
-    """Station id not present in the model parameters."""
+    """A station without a jitter in the model parameters or without a field lattice."""
 
 
 class NonpositiveSnrError(RmodeError):
-    """SNR must be a positive linear power ratio."""
+    """A NaN SNR at a query point: the field strength or the noise level is not a number."""
 
 
 class NnlsConvergenceError(RmodeError):
@@ -61,10 +61,6 @@ class DegenerateDesignError(RmodeError):
     """Fit design is rank deficient (a station has no SNR spread)."""
 
     exit_code = 3
-
-
-class ZeroDistanceError(RmodeError):
-    """Field strength requested at zero distance from the transmitter."""
 
 
 class OutOfGridBoundsError(RmodeError):

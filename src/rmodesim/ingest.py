@@ -31,7 +31,7 @@ class StationLog:
 
     ``timestamp``, ``phase_rad`` and ``snr_db`` are float64 arrays of one
     length, one entry per logged record, with strictly increasing
-    timestamps. Phase is wrapped to [-pi, pi) as receivers log it; SNR is
+    timestamps. Phase is wrapped to [-pi, pi] as receivers log it; SNR is
     the receiver-reported value in dB.
     """
 
@@ -58,12 +58,21 @@ def parse_measurement_file(path) -> list[StationLog]:
     Stations may interleave; the logs come back in the order each station
     first appears, each holding its records in file order.
 
-    Raises FileNotFoundError for a missing file and
+    Raises FileNotFoundError for a missing file,
     ParseError (with the 1-based line number) for a malformed
     header, non-numeric fields, missing columns, or a timestamp that
-    does not increase.
+    does not increase, and ValueError, naming the file, the station and
+    its first bad value, for a phase outside [-pi, pi] (a log in degrees, say).
     """
-    return [StationLog(sid, *cols) for sid, cols in read_table(path, MEASUREMENT_COLUMNS).items()]
+    logs = [StationLog(sid, *cols) for sid, cols in read_table(path, MEASUREMENT_COLUMNS).items()]
+    for log in logs:
+        bad = np.abs(log.phase_rad) > np.pi
+        if bad.any():
+            raise ValueError(
+                f"{path}: station {log.station_id!r}: phase_rad {float(log.phase_rad[bad][0])} is outside "
+                "[-pi, pi]; phases must be in radians"
+            )
+    return logs
 
 
 def group_by_station(logs) -> dict[str, StationLog]:

@@ -22,11 +22,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from ._table import load_clean, read_table, write_table
-from .errors import (
-    NonMonotonicAxesError,
-    OutOfGridBoundsError,
-    ZeroDistanceError,
-)
+from .errors import CoincidentPointsError, NonMonotonicAxesError, OutOfGridBoundsError, UnknownStationError
 from .geodesy import GeoPoint, haversine_m
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -173,20 +169,21 @@ def field_strength_dbuv_m(tx: TransmitterStation, lat_deg, lon_deg, spec: Propag
 
     Parametric variant: reference field scaled by radiated power,
     20*log10 inverse-distance spreading, and the linear excess
-    attenuation; raises ZeroDistanceError at the transmitter site.
-    Grid variant: bilinear interpolation of the station's lattice; a query
-    outside it raises OutOfGridBoundsError naming the station.
+    attenuation; a distance that is zero, or rounds to it, raises
+    CoincidentPointsError. Grid variant: bilinear interpolation of the
+    station's lattice; a missing lattice raises UnknownStationError and a
+    query outside it OutOfGridBoundsError, each naming the station.
     """
     if isinstance(spec, GridPropagation):
         if tx.station_id not in spec.grids:
-            raise KeyError(f"no field grid for station {tx.station_id!r}")
+            raise UnknownStationError(f"no field lattice for station {tx.station_id!r}")
         try:
             return spec.grids[tx.station_id].value_at(lat_deg, lon_deg)
         except OutOfGridBoundsError as exc:
             raise OutOfGridBoundsError(f"field lattice of station {tx.station_id!r}: {exc}") from None
     d_m = haversine_m(tx.position.lat_deg, tx.position.lon_deg, lat_deg, lon_deg)
     if np.any(d_m == 0.0):
-        raise ZeroDistanceError(f"field strength undefined at zero distance from {tx.station_id!r}")
+        raise CoincidentPointsError(f"field strength undefined at the site of station {tx.station_id!r}")
     d_km = d_m / 1000.0
     return (
         spec.ref_field_dbuv_m

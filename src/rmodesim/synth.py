@@ -56,7 +56,7 @@ def synth_station_log(
         phases = base * np.sqrt(phase_var / base_var)[:, None]
     else:
         phases = rng.normal(0.0, np.sqrt(phase_var)[:, None], (snr_values.size, n))
-    wrapped = np.mod(phases + np.pi, TWO_PI) - np.pi  # to [-pi, pi), as receivers log phase
+    wrapped = np.mod(phases + np.pi, TWO_PI) - np.pi  # to [-pi, pi], as receivers log phase
     return StationLog(
         station_id, np.arange(phases.size, dtype=float), wrapped.ravel(), np.repeat(10.0 * np.log10(snr_values), n)
     )

@@ -490,7 +490,7 @@ class TestAccuracyAt:
 
     def test_empty_stations_rejected(self):
         params = ModelParams({}, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewStationsError, match="stations must be non-empty"):
             accuracy_at(self.center, [], params, self.prop, NoiseSpec(level_dbuv_m=40.0), -15.0)
 
 
@@ -539,6 +539,43 @@ class TestTransmitterSite:
         spec = GridSpec(p.lat_deg, p.lat_deg + 0.5, 9.5, 10.5, 0.5)  # a node on p
         with pytest.raises(CoincidentPointsError, match="site of station 'a'"):
             compute_coverage(spec, stations, *args)
+
+
+class TestOneErrorPerCondition:
+    """Each failing query raises one class, whichever path and propagation kind reach it."""
+
+    stations = [
+        TransmitterStation("a", GeoPoint(0.0, 0.0), 300.0, 300e3),
+        TransmitterStation("b", GeoPoint(1.0, 1.0), 300.0, 300e3),
+        TransmitterStation("c", GeoPoint(-1.0, 2.0), 300.0, 300e3),
+    ]
+    params = ModelParams({"a": 0.5, "b": 0.5, "c": 0.5}, 22.15)
+    noise = NoiseSpec(level_dbuv_m=40.0)
+    flat = FieldGrid([-2.0, 3.0], [-2.0, 3.0], np.full((2, 2), 80.0))
+    # the bearing's east component is 1.1e-219, so it has a direction, but its
+    # haversine distance from site 'a' underflows to zero
+    near_site = GeoPoint(0.0, 6.340049562110668e-218)
+
+    def test_parametric_distance_that_rounds_to_zero_is_a_site(self):
+        args = (self.params, ParametricPropagation(), self.noise, -15.0)
+        with pytest.raises(CoincidentPointsError, match="field strength undefined at the site of station 'a'"):
+            accuracy_at(self.near_site, self.stations, *args)
+        spec = GridSpec(0.0, 0.5, self.near_site.lon_deg, 0.5, 0.5)  # a node on the point
+        with pytest.raises(CoincidentPointsError, match="field strength undefined at the site of station 'a'"):
+            compute_coverage(spec, self.stations, *args)
+
+    def test_a_lattice_has_a_field_there(self):
+        prop = GridPropagation({"a": self.flat, "b": self.flat, "c": self.flat})
+        res = accuracy_at(self.near_site, self.stations, self.params, prop, self.noise, -15.0)
+        assert res.accuracy_m == 1.522418889792128
+
+    def test_station_without_a_lattice(self):
+        prop = GridPropagation({"a": self.flat, "b": self.flat})
+        args = (self.params, prop, self.noise, -15.0)
+        with pytest.raises(UnknownStationError, match="no field lattice for station 'c'"):
+            accuracy_at(GeoPoint(0.5, 0.5), self.stations, *args)
+        with pytest.raises(UnknownStationError, match="no field lattice for station 'c'"):
+            compute_coverage(GridSpec(0.25, 0.75, 0.25, 0.75, 0.25), self.stations, *args)
 
 
 class TestDirectionCosines:

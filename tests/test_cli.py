@@ -12,7 +12,7 @@ import rmodesim.errors
 import rmodesim.variance_model
 from rmodesim.cli import main
 from rmodesim.errors import NnlsConvergenceError, ParseError, RmodeError
-from rmodesim.ingest import MEASUREMENT_COLUMNS, parse_measurement_file
+from rmodesim.ingest import MEASUREMENT_COLUMNS, StationLog, parse_measurement_file
 from rmodesim.propagation import FieldGrid, write_field_grid
 from rmodesim.synth import synth_station_log, write_measurement_csv
 
@@ -120,6 +120,29 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--config", str(config_factory()), str(log))
         assert code == 2
         assert "mystery" in err
+
+    def test_phases_in_degrees_exit_2_naming_the_station(self, config_factory, tmp_path, capsys):
+        config = config_factory()
+        logs = synth_logs(config, tmp_path / "logs", noise="gauss", windows=40, seed=3)
+        code, out, err = run(capsys, "fit", "--config", str(config), *map(str, logs))
+        assert code == 0, err
+        # the numbers these logs fitted to before phases were checked
+        assert out.splitlines()[:5] == [
+            "s0: J = 0.500087 m  (n=40, rss=7108.9 m^4)",
+            "s1: J = 0.000000 m  (n=40, rss=11561.5 m^4)",
+            "s2: J = 0.000000 m  (n=40, rss=14057.2 m^4)",
+            "C = 22.120652 m",
+            "RSS = 32727.5 m^4",
+        ]
+        degrees = []
+        for path in logs:
+            (log,) = parse_measurement_file(path)
+            degrees.append(tmp_path / f"{log.station_id}_deg.csv")
+            write_measurement_csv(StationLog(log.station_id, log.timestamp, np.degrees(log.phase_rad), log.snr_db), degrees[-1])
+        code, out, err = run(capsys, "fit", "--config", str(config), *map(str, degrees))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {degrees[0]}: station 's0': phase_rad ")
+        assert err.endswith(" is outside [-pi, pi]; phases must be in radians\n")
 
     def test_output_naming_a_measurement_file_exit_2(self, config_factory, tmp_path, capsys):
         config = config_factory(mutate=lambda cfg: cfg["outputs"].update(fit_report_csv="logs/../logs/s1.csv"))

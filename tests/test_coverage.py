@@ -30,7 +30,7 @@ from rmodesim import (
 )
 from rmodesim.accuracy import MASK_REASONS, MASK_SINGULAR_GEOMETRY, MASK_TOO_FEW_STATIONS, accuracy_arrays
 from rmodesim.config import load_config
-from rmodesim.errors import GridTooLargeError, NonpositiveSnrError
+from rmodesim.errors import GridTooLargeError, NonpositiveSnrError, TooFewStationsError
 from rmodesim.propagation import field_strength_dbuv_m, snr_db_at
 
 from helpers import destination_point, read_coverage_csv
@@ -218,7 +218,7 @@ class TestComputeCoverage:
     def test_needs_three_stations(self):
         stations, params, prop, noise = scenario()
         spec = GridSpec(35.0, 37.0, 126.0, 128.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewStationsError, match="need >= 3 configured stations, got 2"):
             compute_coverage(spec, stations[:2], params, prop, noise, -15.0)
 
     def test_zero_variance_guard(self):

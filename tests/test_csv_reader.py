@@ -313,12 +313,13 @@ def increasing(min_size, max_size):
     data=st.data(),
 )
 def test_writers_match_reference_bytes_and_read_back(tmp_path_factory, lat, lon, timestamps, station_id, data):
-    def floats(n):
-        return data.draw(st.lists(finite, min_size=n, max_size=n))
+    def floats(n, elements=finite):
+        return data.draw(st.lists(elements, min_size=n, max_size=n))
 
     grid = FieldGrid(lat, lon, np.reshape(floats(len(lat) * len(lon)), (len(lat), len(lon))))
     n = len(timestamps)
-    log = StationLog(station_id, timestamps, floats(n), floats(n))
+    # the reader takes phases in [-pi, pi] only
+    log = StationLog(station_id, timestamps, floats(n, st.floats(-np.pi, np.pi)), floats(n))
     out = tmp_path_factory.mktemp("write")
     write_field_grid(grid, out / "grid.csv")
     csv_writer_field_grid(grid, out / "grid_reference.csv")

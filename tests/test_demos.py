@@ -1,3 +1,4 @@
+import builtins
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import yaml
 
 import rmodesim
+import rmodesim.errors
 from helpers import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +67,18 @@ def test_readme_config_table_matches_the_loader(tmp_path):
         (tmp_path / name).write_text(yaml.safe_dump(raw), encoding="utf-8")
         rmodesim.load_config(tmp_path / name)
     assert listed == _config_keys(shipped) | _config_keys(lattices)
+
+
+def test_readme_exit_codes_match_the_error_classes():
+    # the "Exit codes" paragraph and its list of statuses
+    intro, bullets = (ROOT / "README.md").read_text(encoding="utf-8").split("Exit codes:", 1)[1].split("\n\n", 2)[:2]
+    parts = re.split(r"^- `(\d)`", bullets, flags=re.M)[1:]
+    listed = {int(code): set(re.findall(r"`(\w+Error)`", text)) for code, text in zip(parts[::2], parts[1::2])}
+    classes = [c for c in vars(rmodesim.errors).values() if isinstance(c, type) and issubclass(c, rmodesim.errors.RmodeError)]
+    for code in (3, 4):
+        assert listed[code] == {c.__name__ for c in classes if c.exit_code == code}
+    for name in re.findall(r"`(\w+Error)`", intro + bullets):
+        assert hasattr(rmodesim.errors, name) or hasattr(builtins, name), name
 
 
 def test_readme_quickstart_runs(tmp_path, monkeypatch):

@@ -78,6 +78,21 @@ class TestParse:
         assert sorted(groups) == ["a", "b"]
         assert groups["a"].timestamp.tolist() == [1.0, 2.0]
 
+    def test_phase_of_exactly_pi_parses(self, tmp_path):
+        # the check is closed on purpose: the wrap np.mod(x + pi, 2*pi) - pi, as
+        # synth_station_log writes it, turns x just under -pi into +pi exactly
+        x = -np.pi - 3e-16
+        assert np.mod(x + np.pi, 2.0 * np.pi) - np.pi == np.pi
+        (log,) = parse_measurement_file(write(tmp_path, HEADER + f"1.0,a,{np.pi!r},10\n2.0,a,{-np.pi!r},10\n"))
+        assert log.phase_rad.tolist() == [np.pi, -np.pi]
+
+    @pytest.mark.parametrize("bad", [math.nextafter(math.pi, 4.0), -180.0])
+    def test_phase_outside_pi_rejected_naming_file_station_and_value(self, tmp_path, bad):
+        path = write(tmp_path, HEADER + f"1.0,a,0.5,10\n2.0,b,0.5,10\n3.0,b,{bad!r},10\n4.0,b,{2 * bad!r},10\n")
+        with pytest.raises(ValueError) as exc:
+            parse_measurement_file(path)
+        assert str(exc.value) == f"{path}: station 'b': phase_rad {bad!r} is outside [-pi, pi]; phases must be in radians"
+
     def test_logs_of_one_station_join_in_input_order(self):
         b = make_log([0.3], station="b")
         groups = group_by_station([make_log([0.1, 0.2]), b, make_log([0.4], t0=2.0)])

@@ -18,10 +18,11 @@ from rmodesim import (
     write_field_grid,
 )
 from rmodesim.errors import (
+    CoincidentPointsError,
     ParseError,
     NonMonotonicAxesError,
     OutOfGridBoundsError,
-    ZeroDistanceError,
+    UnknownStationError,
 )
 from rmodesim.propagation import SPEED_OF_LIGHT_M_S, field_strength_dbuv_m
 
@@ -56,7 +57,7 @@ class TestParametric:
 
     def test_zero_distance_raises(self):
         tx = make_tx()
-        with pytest.raises(ZeroDistanceError):
+        with pytest.raises(CoincidentPointsError, match="site of station 'tx'"):
             field_strength_dbuv_m(tx, 0.0, 0.0, ParametricPropagation())
 
     def test_strictly_increasing_in_power(self):
@@ -311,7 +312,7 @@ class TestGridIo:
         prop = GridPropagation(grids={"tx": grid})
         tx = make_tx()
         assert field_strength_dbuv_m(tx, 0.0, 0.0, prop) == 60.0
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownStationError, match="no field lattice for station 'other'"):
             field_strength_dbuv_m(make_tx(sid="other"), 0.0, 0.0, prop)
         with pytest.raises(OutOfGridBoundsError):
             field_strength_dbuv_m(tx, 2.0, 0.0, prop)
