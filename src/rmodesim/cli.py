@@ -16,6 +16,7 @@ import contextlib
 import csv
 import errno
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -74,7 +75,8 @@ def _outputs(*paths: Path):
 
     An output that is a directory fails before anything is written, and on
     any failure every temporary is removed, so a failed write leaves no new
-    file. A symlinked output is written through to its target.
+    file; an OSError on a temporary is raised naming its output. A replaced
+    output keeps its mode, and a symlinked output is written through to its target.
     """
     targets = [Path(os.path.realpath(path)) for path in paths]
     for path, target in zip(paths, targets):
@@ -82,11 +84,20 @@ def _outputs(*paths: Path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     for target in targets:
         target.parent.mkdir(parents=True, exist_ok=True)
-    temps = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in targets]
+    # named apart from the output, so a temporary's name fits wherever the output's does
+    temps = [target.with_name(f".rmodesim-{os.getpid()}-{k}.tmp") for k, target in enumerate(targets)]
     try:
         yield temps
         for temp, target in zip(temps, targets):
+            with contextlib.suppress(FileNotFoundError):  # a new output keeps the mode open() gave it
+                shutil.copymode(target, temp)
+        for temp, target in zip(temps, targets):
             os.replace(temp, target)
+    except OSError as exc:
+        output = dict(zip(map(str, temps), paths)).get(str(exc.filename))
+        if output is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(output)) from None
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)

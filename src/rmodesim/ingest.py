@@ -32,7 +32,9 @@ class StationLog:
     ``timestamp``, ``phase_rad`` and ``snr_db`` are float64 arrays of one
     length, one entry per logged record, with strictly increasing
     timestamps. Phase is wrapped to [-pi, pi] as receivers log it; SNR is
-    the receiver-reported value in dB.
+    the receiver-reported value in dB. Every log, read or built in code, is
+    checked: a phase outside [-pi, pi] or NaN (degrees, say) raises
+    ValueError naming the station and its first bad value.
     """
 
     station_id: str
@@ -47,6 +49,10 @@ class StationLog:
             raise ValueError("timestamp, phase_rad and snr_db must be 1-D arrays of one length")
         if not (self.timestamp[1:] > self.timestamp[:-1]).all():
             raise ValueError(f"station {self.station_id!r}: timestamps must increase strictly")
+        ok = np.abs(self.phase_rad) <= np.pi  # closed: the wrap np.mod(x + pi, 2*pi) - pi can return +pi
+        if not ok.all():
+            bad = float(self.phase_rad[np.argmin(ok)])  # argmin: the first False
+            raise ValueError(f"station {self.station_id!r}: phase_rad {bad} is outside [-pi, pi]; phases must be in radians")
 
 
 def parse_measurement_file(path) -> list[StationLog]:
@@ -61,18 +67,14 @@ def parse_measurement_file(path) -> list[StationLog]:
     Raises FileNotFoundError for a missing file,
     ParseError (with the 1-based line number) for a malformed
     header, non-numeric fields, missing columns, or a timestamp that
-    does not increase, and ValueError, naming the file, the station and
-    its first bad value, for a phase outside [-pi, pi] (a log in degrees, say).
+    does not increase, and StationLog's ValueError for a phase outside
+    [-pi, pi], with the file's path in front.
     """
-    logs = [StationLog(sid, *cols) for sid, cols in read_table(path, MEASUREMENT_COLUMNS).items()]
-    for log in logs:
-        bad = np.abs(log.phase_rad) > np.pi
-        if bad.any():
-            raise ValueError(
-                f"{path}: station {log.station_id!r}: phase_rad {float(log.phase_rad[bad][0])} is outside "
-                "[-pi, pi]; phases must be in radians"
-            )
-    return logs
+    table = read_table(path, MEASUREMENT_COLUMNS)
+    try:
+        return [StationLog(sid, *cols) for sid, cols in table.items()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def group_by_station(logs) -> dict[str, StationLog]:

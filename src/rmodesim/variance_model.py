@@ -63,10 +63,9 @@ def toa_variance_m2(jitter_m, c_m, snr_linear):
 def fit_params(windows, trim_fraction: float = 0.0) -> tuple[ModelParams, FitReport]:
     """Estimate per-station jitter and the shared constant from variance windows.
 
-    ``windows`` is a sequence read by ``np.asarray(windows, dtype=WINDOW_DTYPE)``
-    (an iterator raises TypeError): ``window_variance``'s array, a list or
-    tuple of its records or of ``(station_id, snr_linear, toa_var_m2)``
-    tuples.
+    ``windows`` is ``window_variance``'s array or any iterable (a list,
+    a tuple, a generator) of its records or of ``(station_id, snr_linear,
+    toa_var_m2)`` tuples.
 
     The model is linear in ``a_i = J_i^2`` and ``b = C^2``: each window
     contributes a design row with an indicator column for its station's
@@ -94,10 +93,8 @@ def fit_params(windows, trim_fraction: float = 0.0) -> tuple[ModelParams, FitRep
     """
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError(f"trim_fraction must be in [0, 1), got {trim_fraction}")
-    if isinstance(windows, Iterator):
-        raise TypeError(f"windows must be a sequence or structured array, got {type(windows).__name__}")
-    if isinstance(windows, tuple):
-        windows = list(windows)  # numpy would read an outer tuple as one record
+    if not isinstance(windows, np.ndarray):
+        windows = list(windows)  # numpy would read an outer tuple as one record, and cannot read an iterator
     windows = np.asarray(windows, dtype=WINDOW_DTYPE)
     if windows.size == 0:
         raise InsufficientSamplesError("no variance samples")

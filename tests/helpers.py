@@ -366,13 +366,10 @@ def loop_parse_measurement_file(path):
             cols[2].append(snr)
         if header is None:
             raise ParseError(1, "empty file, missing header")
-    for station_id, (_, phases, _) in columns.items():
-        for phase in phases:
-            if abs(phase) > math.pi:
-                raise ValueError(
-                    f"{path}: station {station_id!r}: phase_rad {phase} is outside [-pi, pi]; phases must be in radians"
-                )
-    return [StationLog(sid, *cols) for sid, cols in columns.items()]
+    try:
+        return [StationLog(sid, *cols) for sid, cols in columns.items()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_coverage_csv(path) -> list[tuple[float, float, float | None, int, str]]:

@@ -1,4 +1,6 @@
+import errno
 import math
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,10 @@ import yaml
 import rmodesim.cli
 import rmodesim.errors
 import rmodesim.variance_model
+from rmodesim._table import write_table
 from rmodesim.cli import main
 from rmodesim.errors import NnlsConvergenceError, ParseError, RmodeError
-from rmodesim.ingest import MEASUREMENT_COLUMNS, StationLog, parse_measurement_file
+from rmodesim.ingest import MEASUREMENT_COLUMNS, parse_measurement_file
 from rmodesim.propagation import FieldGrid, write_field_grid
 from rmodesim.synth import synth_station_log, write_measurement_csv
 
@@ -138,7 +141,9 @@ class TestFit:
         for path in logs:
             (log,) = parse_measurement_file(path)
             degrees.append(tmp_path / f"{log.station_id}_deg.csv")
-            write_measurement_csv(StationLog(log.station_id, log.timestamp, np.degrees(log.phase_rad), log.snr_db), degrees[-1])
+            # as write_measurement_csv writes a log, which a StationLog in degrees cannot be
+            columns = [log.timestamp, np.degrees(log.phase_rad), log.snr_db]
+            write_table(degrees[-1], MEASUREMENT_COLUMNS, {log.station_id: columns})
         code, out, err = run(capsys, "fit", "--config", str(config), *map(str, degrees))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {degrees[0]}: station 's0': phase_rad ")
@@ -703,6 +708,56 @@ def test_outputs_take_the_mode_a_plain_open_gives(config_factory, tmp_path, caps
         pass
     mode = (tmp_path / "plain").stat().st_mode
     assert (tmp_path / "coverage.csv").stat().st_mode == (tmp_path / "coverage.pgm").stat().st_mode == mode
+
+
+def test_output_name_at_the_length_limit_is_written(config_factory, tmp_path, capsys):
+    # 249 characters: a temporary named after it would pass the 255-byte name limit
+    name = "c" * 245 + ".csv"
+    config = config_factory(mutate=lambda cfg: cfg["outputs"].update(coverage_csv=name))
+    code, _, err = run(capsys, "coverage", "--config", str(config))
+    assert code == 0, err
+    assert (tmp_path / name).read_text().startswith("lat_deg,lon_deg,accuracy_m,usable_count,mask\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "coverage.pgm", "run.yaml"])
+
+
+def _argv(command, config, tmp_path):
+    argv = [command, "--config", config]
+    if command == "fit":
+        argv += map(str, synth_logs(config, tmp_path / "logs", windows=5))
+    return argv
+
+
+@pytest.mark.parametrize("command, outputs", [("coverage", ("coverage.csv", "coverage.pgm")),
+                                              ("fit", ("fit_report.csv", "fitted_params.yaml"))])
+def test_a_replaced_output_keeps_its_mode(config_factory, tmp_path, capsys, command, outputs):
+    argv = _argv(command, str(config_factory()), tmp_path)
+    assert run(capsys, *argv)[0] == 0
+    for name, mode in zip(outputs, (0o600, 0o640)):
+        (tmp_path / name).chmod(mode)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in outputs] == [0o600, 0o640]
+
+
+@pytest.mark.parametrize("command, writer, output", [("coverage", "write_coverage_pgm", "coverage.pgm"),
+                                                     ("fit", "write_fit_report_csv", "fit_report.csv")])
+def test_an_error_on_a_temporary_names_its_output_and_leaves_every_file_as_it_was_exit_2(
+    config_factory, tmp_path, capsys, monkeypatch, command, writer, output
+):
+    # as an unwritable directory would fail the writer, without needing one
+    argv = _argv(command, str(config_factory()), tmp_path)
+    assert run(capsys, *argv)[0] == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def refuse(*args):
+        path = args[1] if writer == "write_coverage_pgm" else args[2]
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    monkeypatch.setattr(rmodesim.cli, writer, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 13] Permission denied: '{tmp_path / output}'\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 # waits for a line on stdin before running the command, so the reader can

@@ -14,6 +14,11 @@ dispatches them to, and through ``hypot`` (the coverage kernel's direction
 cosines), which numpy does not dispatch (``none``) and takes from the C
 library. On an AVX-512 host, ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 AVX512_SPR"`` moves them to older kernels and changes bytes in every case.
+OpenBLAS is a hidden input too: the fit's ``lstsq`` and matrix products
+run on the core it picks at run time, which the dispatch line cannot
+show. ``OPENBLAS_CORETYPE=Sandybridge`` (or ``Prescott``) changes every
+fit case's ``fit_report.csv`` and ``fitted_params.yaml``, and ``fit-none``'s
+stdout; ``OPENBLAS_VERBOSE=2`` prints the core as ``Core: <name>``.
 The mask-count test pins each coverage case's cells by mask reason apart
 from the accuracy digits.
 

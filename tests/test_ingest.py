@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from rmodesim import StationLog, parse_measurement_file, unwrap_phase, wavelength_m, window_variance
 from rmodesim.errors import EmptyInputError, InsufficientDataError, ParseError
 from rmodesim.ingest import group_by_station
+from rmodesim.synth import synth_station_log
 
 from helpers import polyfit_detrended_variance
 
@@ -255,7 +258,9 @@ class TestWindowVariance:
                                                              lam, seed):
         # the variance as np.var(ddof=1) of the windows anchored on their first element, kept as a reference
         n = n_windows * window_len + extra % window_len
-        phase = offset + spread * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        # offset stands for a large unwrapped phase: a drift of 3e-3 * offset rad per record, under pi, before the wrap
+        phase = 3e-3 * offset * np.arange(n) + spread * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        phase = np.mod(phase + np.pi, 2.0 * np.pi) - np.pi
         got = window_variance(StationLog("s", np.arange(n, dtype=float), phase, np.full(n, 20.0)), window_len, lam)
         p = unwrap_phase(phase)[: n_windows * window_len].reshape(n_windows, window_len)
         want = (lam / (2.0 * math.pi)) ** 2 * np.var(p - p[:, :1], axis=1, ddof=1)
@@ -275,3 +280,42 @@ def test_station_log_columns_must_share_one_length():
         StationLog("s", [0.0, 1.0], [0.0], [10.0, 10.0])
     with pytest.raises(ValueError):
         StationLog("s", [[0.0]], [[0.0]], [[10.0]])
+
+
+class TestPhaseRange:
+    def synth(self, station="s0"):
+        snrs = np.logspace(0.0, 3.0, 20)
+        return synth_station_log(station, 0.5, 22.15, 999.3, snrs, 10, "gauss", np.random.default_rng(3))
+
+    @pytest.mark.parametrize(
+        "bad", [math.nextafter(math.pi, 4.0), -math.nextafter(math.pi, 4.0), math.nan, math.inf, 180.0],
+        ids=["above", "below", "nan", "inf", "degrees"],
+    )
+    def test_phase_outside_pi_raises_naming_station_and_first_bad_value(self, bad):
+        with pytest.raises(ValueError) as exc:
+            make_log([0.5, bad, -2.0 * bad], station="b")
+        assert str(exc.value) == f"station 'b': phase_rad {bad!r} is outside [-pi, pi]; phases must be in radians"
+
+    def test_exactly_pi_and_synth_logs_accepted(self):
+        assert make_log([np.pi, -np.pi]).phase_rad.tolist() == [np.pi, -np.pi]
+        # synth_station_log builds a StationLog from its wrap, which can return +pi exactly
+        for noise in ("none", "gauss"):
+            snrs = np.logspace(0.0, 3.0, 50)
+            log = synth_station_log("s0", 1.41, 22.15, 999.3, snrs, 100, noise, np.random.default_rng(0))
+            assert log.phase_rad.size == 5000
+
+    def test_degree_copy_of_a_synth_log_raises_at_construction(self):
+        log = self.synth()
+        degrees = np.degrees(log.phase_rad)
+        first = float(degrees[np.flatnonzero(np.abs(degrees) > np.pi)[0]])
+        with pytest.raises(ValueError, match=rf"^station 's0': phase_rad {re.escape(repr(first))} is outside"):
+            StationLog(log.station_id, log.timestamp, degrees, log.snr_db)
+
+    def test_joining_a_radian_and_a_degree_log_of_one_station_raises_naming_it(self):
+        # a log-like record that never went through StationLog's check, as a caller's own type may be
+        log = self.synth()
+        later = SimpleNamespace(station_id="s0", timestamp=log.timestamp + log.timestamp.size,
+                                phase_rad=np.degrees(log.phase_rad), snr_db=log.snr_db)
+        msg = r"^station 's0': phase_rad .* is outside \[-pi, pi\]; phases must be in radians$"
+        with pytest.raises(ValueError, match=msg):
+            group_by_station([log, self.synth("s1"), later])
